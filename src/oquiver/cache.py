@@ -1,20 +1,23 @@
 """
-Disk cache for the expensive pipeline artifacts (multiplication table and
-module family), plus the orchestration that builds or restores a complete
-pipeline for one root system.
+Disk cache for the expensive pipeline artifact, the module family (per
+module: degrees, generator matrices, multiplicities, provenance), plus the
+orchestration that builds or restores a complete pipeline for one root
+system.  The ring is cheap and is rebuilt from Chevalley's rule on restore.
 
 Cache files are content-addressed by (type, rank, mode, artifact version)
 in the file name, carry a sha256 checksum of the canonical payload, and are
-written atomically.  A stale version or corrupted payload is reported and
-silently recomputed; rationals restore exactly, so a warm run reproduces a
-cold run byte for byte.
+written atomically through a unique temporary file.  A stale version or a
+malformed or corrupted file is reported and silently recomputed; rationals
+restore exactly, so a warm run reproduces a cold run byte for byte.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
+import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -22,10 +25,10 @@ from typing import Callable
 from .linalg import QMatrix, format_rational, parse_rational
 from .quiver import Quiver, build_quiver
 from .rootsystem import WeylGroup, build, generate_weyl, parse_type
-from .schubert import CohClass, CohRing
-from .soergel import GradedModule, ModuleFamily, build_all
+from .schubert import CohRing
+from .soergel import GradedModule, ModuleFamily, build_all, derived_actions
 
-ARTIFACT_VERSION = 1
+ARTIFACT_VERSION = 2
 
 ENV_CACHE_DIR = "OQUIVER_CACHE"
 
@@ -61,20 +64,15 @@ def _matrix_from_doc(doc: list[list[str]], cols: int) -> QMatrix:
     return QMatrix([[parse_rational(x) for x in row] for row in doc], cols=cols)
 
 
-def payload_of(ring: CohRing, family: ModuleFamily) -> dict:
+def payload_of(family: ModuleFamily) -> dict:
     """Everything keyed by canonical element strings, rationals as "p/q"."""
-    g = ring.group
-    mult = {}
-    for u in g.elements:
-        for v in g.elements:
-            product = ring.multiply_basis(u, v)
-            mult[f"{u}|{v}"] = {str(w): format_rational(c) for w, c in product.coeffs.items()}
+    g = family.group
     modules = {}
     for w in g.elements:
         module = family.modules[w.idx]
         modules[str(w)] = {
             "degrees": list(module.degrees),
-            "action": {str(v): _matrix_doc(module.action[v.idx]) for v in g.elements},
+            "gens": [_matrix_doc(a) for a in module.gens],
             "multiplicities": {
                 str(g.elements[y]): n
                 for y, n in sorted(family.multiplicities[w.idx].items())
@@ -85,7 +83,6 @@ def payload_of(ring: CohRing, family: ModuleFamily) -> dict:
         "system": {"type": g.rootsystem.type_label, "rank": g.rootsystem.rank},
         "mode": family.mode,
         "elements": [str(w) for w in g.elements],
-        "mult": mult,
         "modules": modules,
     }
 
@@ -95,22 +92,17 @@ def restore(group: WeylGroup, payload: dict) -> tuple[CohRing, ModuleFamily]:
     if payload["elements"] != [str(w) for w in g.elements]:
         raise ValueError("cached element order does not match this build")
     lookup = {str(w): w for w in g.elements}
-    table: list[list[CohClass]] = []
-    for u in g.elements:
-        row = []
-        for v in g.elements:
-            entry = payload["mult"][f"{u}|{v}"]
-            row.append(CohClass({lookup[k]: parse_rational(c) for k, c in entry.items()}))
-        table.append(row)
-    ring = CohRing(group, table=table)
+    ring = CohRing(group)
     family = ModuleFamily(ring, payload["mode"])
     for w in g.elements:
         doc = payload["modules"][str(w)]
+        if len(doc["gens"]) != g.rootsystem.rank:
+            raise ValueError(f"module {w} does not have one matrix per generator")
         dim = len(doc["degrees"])
         module = GradedModule(
             dim,
             doc["degrees"],
-            [_matrix_from_doc(doc["action"][str(v)], dim) for v in g.elements],
+            [_matrix_from_doc(a, dim) for a in doc["gens"]],
             provenance=doc["provenance"],
         )
         family.modules[w.idx] = module
@@ -120,8 +112,8 @@ def restore(group: WeylGroup, payload: dict) -> tuple[CohRing, ModuleFamily]:
     return ring, family
 
 
-def store(path: Path, ring: CohRing, family: ModuleFamily) -> None:
-    payload = payload_of(ring, family)
+def store(path: Path, family: ModuleFamily) -> None:
+    payload = payload_of(family)
     envelope = {
         "artifact_version": ARTIFACT_VERSION,
         "system": payload["system"],
@@ -131,9 +123,16 @@ def store(path: Path, ring: CohRing, family: ModuleFamily) -> None:
     }
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(".tmp")
-        tmp.write_text(json.dumps(envelope), encoding="utf-8")
-        os.replace(tmp, path)
+        # a unique name per writer, so concurrent stores cannot clobber each other
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as handle:
+                handle.write(json.dumps(envelope))
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+            raise
     except OSError as exc:
         raise CacheUnusable(f"cannot write cache file {path}: {exc}") from exc
 
@@ -146,16 +145,22 @@ def load(path: Path, group: WeylGroup, warn: Callable[[str], None]) -> tuple[Coh
     except (OSError, json.JSONDecodeError) as exc:
         warn(f"cache {path.name} unreadable ({exc}); recomputing")
         return None
+    if not isinstance(envelope, dict):
+        warn(f"cache {path.name} malformed (not a JSON object); recomputing")
+        return None
     if envelope.get("artifact_version") != ARTIFACT_VERSION:
         warn(f"cache {path.name} has version {envelope.get('artifact_version')}; recomputing")
         return None
     payload = envelope.get("payload")
-    if payload is None or envelope.get("checksum") != _checksum(payload):
+    if not isinstance(payload, dict):
+        warn(f"cache {path.name} malformed (payload is not a JSON object); recomputing")
+        return None
+    if envelope.get("checksum") != _checksum(payload):
         warn(f"cache {path.name} failed its checksum; recomputing")
         return None
     try:
         return restore(group, payload)
-    except (KeyError, ValueError, IndexError) as exc:
+    except (KeyError, ValueError, IndexError, TypeError) as exc:
         warn(f"cache {path.name} malformed ({exc}); recomputing")
         return None
 
@@ -205,18 +210,20 @@ def load_pipeline(
         return Pipeline(group, ring, family)
     ring = CohRing(group)
     family = build_all(ring, shortcut=not full)
-    store(path, ring, family)
+    store(path, family)
     return Pipeline(group, ring, family)
 
 
 def module_doc(pipeline: Pipeline, w) -> dict:
-    """Full dump of one module: degrees plus every action matrix."""
+    """Full dump of one module: degrees plus the action matrix of every class,
+    derived from the generator matrices."""
     g = pipeline.group
     module = pipeline.family.modules[w.idx]
+    actions = derived_actions(pipeline.ring, module.gens, QMatrix.identity(module.dim))
     return {
         "system": {"type": g.rootsystem.type_label, "rank": g.rootsystem.rank},
         "element": str(w),
         "mode": pipeline.family.mode,
         "degrees": list(module.degrees),
-        "action": {str(v): _matrix_doc(module.action[v.idx]) for v in g.elements},
+        "action": {str(v): _matrix_doc(a) for v, a in zip(g.elements, actions)},
     }

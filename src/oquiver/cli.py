@@ -57,6 +57,10 @@ def _add_type(parser: argparse.ArgumentParser) -> None:
 def _add_cache_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--cache-dir", type=Path, default=None, help="cache directory (default: $OQUIVER_CACHE or ~/.cache/oquiver)")
     parser.add_argument("--no-cache", action="store_true", help="recompute everything, touch no cache files")
+
+
+def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:
+    _add_cache_flags(parser)
     parser.add_argument("--full", action="store_true", help="extract modules from full word modules instead of single extensions")
 
 
@@ -235,14 +239,14 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ih", help="graded dimensions (or full dump) of one module")
     _add_type(p)
-    _add_cache_flags(p)
+    _add_pipeline_flags(p)
     p.add_argument("--element", required=True, help='element like "1.2.1" or "e"')
-    p.add_argument("--dump", action="store_true", help="dump degrees and all action matrices as JSON")
+    p.add_argument("--dump", action="store_true", help="dump degrees and the action matrix of every class as JSON")
     p.set_defaults(fn=cmd_ih)
 
     p = sub.add_parser("hom", help="basis of a graded Hom space")
     _add_type(p)
-    _add_cache_flags(p)
+    _add_pipeline_flags(p)
     p.add_argument("--from", dest="source", required=True)
     p.add_argument("--to", dest="target", required=True)
     p.add_argument("--degree", type=int, default=1)
@@ -256,7 +260,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("quiver", help="the quiver with relations")
     _add_type(p)
-    _add_cache_flags(p)
+    _add_pipeline_flags(p)
     p.add_argument("--format", choices=("json", "dot", "text"), default="text")
     p.add_argument("--appendix-numbering", action="store_true", help="classical A2 vertex numbering (longest element = 1)")
     p.add_argument("--out", type=Path, default=None)
@@ -264,7 +268,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="run the invariant battery")
     _add_type(p)
-    _add_cache_flags(p)
+    _add_pipeline_flags(p)
     p.add_argument("--suite", choices=SUITES, default="all")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_check)

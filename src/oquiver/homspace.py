@@ -3,7 +3,7 @@ Graded Hom spaces between the intersection cohomology modules.
 
 Hom^d(V_y, V_w) is the space of degree-d linear maps commuting with the
 ring action; commuting with the degree-one generators is enough since they
-generate, and imposing every class instead is available as a cross-check.
+generate.
 The canonical basis (RREF over the degree-band matrix entries, row-major)
 is the declared arrow basis of the quiver: any other basis differs from it
 by an invertible linear substitution, so nothing downstream depends on the
@@ -33,26 +33,9 @@ class HomBasis:
         return len(self.basis)
 
 
-def hom_basis(
-    family: ModuleFamily,
-    y: WeylElement,
-    w: WeylElement,
-    degree: int,
-    all_classes: bool = False,
-) -> HomBasis:
-    """Canonical basis of Hom^degree(V_y, V_w).
-
-    With all_classes=True the commutant constraints are imposed for every
-    Schubert class rather than just the generators; the nullspace must not
-    change (generation in degree one), so this is purely a debug check.
-    """
-    ring = family.ring
-    g = ring.group
-    if all_classes:
-        classes = [(v.idx, v.length) for v in g.elements if v.length > 0]
-    else:
-        classes = [(g.simple(i).idx, 1) for i in range(1, g.rootsystem.rank + 1)]
-    maps = graded_hom_basis(family[y], family[w], degree, classes)
+def hom_basis(family: ModuleFamily, y: WeylElement, w: WeylElement, degree: int) -> HomBasis:
+    """Canonical basis of Hom^degree(V_y, V_w)."""
+    maps = graded_hom_basis(family[y], family[w], degree)
     return HomBasis(y, w, degree, tuple(maps))
 
 

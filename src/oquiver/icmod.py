@@ -129,45 +129,34 @@ def assemble_differential(q: Quiver, m: ICModule) -> tuple[QMatrix, list[int]]:
     return QMatrix(grid, cols=total), degrees
 
 
-def validate(q: Quiver, m: ICModule) -> bool:
-    """The chain complex axiom: the assembled differential squares to zero."""
-    d, degrees = assemble_differential(q, m)
+def _squares_to_zero(d: QMatrix, degrees: list[int]) -> bool:
     for p, c, _ in d.nonzero_items():
         if degrees[p] != degrees[c] + 1:  # pragma: no cover - structural
             raise InternalConsistencyError("differential is not of degree 1")
     return (d * d).is_zero()
 
 
-@dataclass
-class TotalComplex:
-    degrees: tuple[int, ...]
-    differentials: dict[int, QMatrix]  # degree n -> map from piece n to piece n+1
-
-
-def total_complex(q: Quiver, m: ICModule) -> TotalComplex:
-    d, degrees = assemble_differential(q, m)
-    by_degree: dict[int, list[int]] = {}
-    for idx, deg in enumerate(degrees):
-        by_degree.setdefault(deg, []).append(idx)
-    diffs = {}
-    for n, cols in sorted(by_degree.items()):
-        rows = by_degree.get(n + 1, [])
-        diffs[n] = QMatrix([[d.data[r][c] for c in cols] for r in rows], cols=len(cols))
-    return TotalComplex(tuple(degrees), diffs)
+def validate(q: Quiver, m: ICModule) -> bool:
+    """The chain complex axiom: the assembled differential squares to zero."""
+    return _squares_to_zero(*assemble_differential(q, m))
 
 
 def total_cohomology(q: Quiver, m: ICModule) -> dict[int, int]:
     """Exact graded dimensions of ker/im of the total complex."""
-    if not validate(q, m):
+    d, degrees = assemble_differential(q, m)
+    if not _squares_to_zero(d, degrees):
         raise InvalidModule("total cohomology requires d^2 = 0")
-    tc = total_complex(q, m)
-    sizes: dict[int, int] = {}
-    for deg in tc.degrees:
-        sizes[deg] = sizes.get(deg, 0) + 1
-    ranks = {n: rank(d) for n, d in tc.differentials.items()}
+    by_degree: dict[int, list[int]] = {}
+    for idx, deg in enumerate(degrees):
+        by_degree.setdefault(deg, []).append(idx)
+    ranks = {}
+    for n, cols in by_degree.items():
+        # the piece of d from degree n to degree n + 1
+        rows = by_degree.get(n + 1, [])
+        ranks[n] = rank(QMatrix([[d.data[r][c] for c in cols] for r in rows], cols=len(cols)))
     out = {}
-    for n in sorted(sizes):
-        h = sizes[n] - ranks.get(n, 0) - ranks.get(n - 1, 0)
+    for n in sorted(by_degree):
+        h = len(by_degree[n]) - ranks[n] - ranks.get(n - 1, 0)
         if h:
             out[n] = h
     return out
@@ -255,28 +244,30 @@ def _dual_module(module: GradedModule) -> GradedModule:
     return GradedModule(
         module.dim,
         tuple(-d for d in module.degrees),
-        [a.transpose() for a in module.action],
+        [a.transpose() for a in module.gens],
         provenance=f"dual({module.provenance})",
     )
 
 
 def _duality_isos(q: Quiver) -> list[QMatrix]:
-    """Degree-0 isomorphisms V_w -> V_w* realizing Poincare self-duality."""
+    """Degree-0 isomorphisms V_w -> V_w* realizing Poincare self-duality.
+
+    Computed once per quiver, together with their inverses, which are kept
+    as `q._duality_inverses`.
+    """
     cached = getattr(q, "_duality_isos", None)
     if cached is not None:
         return cached
-    ring = q.family.ring
-    g = q.group
-    classes = [(g.simple(i).idx, 1) for i in range(1, g.rootsystem.rank + 1)]
     isos = []
-    for w in g.elements:
+    for w in q.group.elements:
         module = q.family.modules[w.idx]
-        maps = graded_hom_basis(module, _dual_module(module), 0, classes)
+        maps = graded_hom_basis(module, _dual_module(module), 0)
         if len(maps) != 1 or rank(maps[0]) != module.dim:
             raise InternalConsistencyError(  # pragma: no cover - internal self-check
                 f"self-duality pairing of V[{w}] is not unique and invertible"
             )
         isos.append(maps[0])
+    q._duality_inverses = [_invert(phi) for phi in isos]
     q._duality_isos = isos
     return isos
 
@@ -286,6 +277,7 @@ def verdier_dual(q: Quiver, m: ICModule) -> ICModule:
     re-expressed in the canonical Hom^1 bases.  No sign is introduced."""
     _check_shapes(q, m)
     isos = _duality_isos(q)
+    inverses = q._duality_inverses
     boundary: dict[tuple[int, int], list[tuple[int, QMatrix]]] = {}
     for (w, y), terms in m.boundary.items():
         # the stored pair maps stalk w -> stalk y; the dual pair is (y, w)
@@ -299,10 +291,9 @@ def verdier_dual(q: Quiver, m: ICModule) -> ICModule:
             if mod_w.degrees[p] == mod_y.degrees[c] + 1
         ]
         basis_vecs = [[b.data[p][c] for (p, c) in positions] for b in basis]
-        phi_w_inv = _invert(isos[w])
         dual_terms: dict[int, QMatrix] = {}
         for k, stalk_map in terms:
-            transported = phi_w_inv * q.hom1[(w, y)][k].transpose() * isos[y]
+            transported = inverses[w] * q.hom1[(w, y)][k].transpose() * isos[y]
             ok, coeffs = in_span(
                 [transported.data[p][c] for (p, c) in positions], basis_vecs
             )

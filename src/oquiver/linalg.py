@@ -73,15 +73,6 @@ class QMatrix:
     def identity(cls, n: int) -> "QMatrix":
         return cls([[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def from_columns(cls, columns: Sequence[Sequence[Fraction | int]], rows: int | None = None) -> "QMatrix":
-        if not columns:
-            if rows is None:
-                raise DimensionMismatch("empty column list needs an explicit row count")
-            return cls([[] for _ in range(rows)], cols=0)
-        height = len(columns[0])
-        return cls([[col[i] for col in columns] for i in range(height)])
-
     def __getitem__(self, ij: tuple[int, int]) -> Fraction:
         i, j = ij
         return self.data[i][j]

@@ -158,10 +158,6 @@ class RootSystem:
                     total += ui * vj * di * row[j]
         return total
 
-    def coroot_pairing(self, i: int, v: Sequence[int]) -> int:
-        """<alpha_i–check, v> = 2 (alpha_i, v) / (alpha_i, alpha_i), 0-based i."""
-        return sum(self.cartan[i][j] * vj for j, vj in enumerate(v) if vj)
-
     def simple_reflection_matrix(self, i: int) -> ActionMatrix:
         """Action of s_i (0-based) on simple-root coordinates."""
         n = self.rank
@@ -185,9 +181,6 @@ class RootSystem:
                 raise InvalidRootSystem("non-integral coroot pairing")  # pragma: no cover
             cols.append([(1 if k == j else 0) - c.numerator * root[k] for k in range(n)])
         return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
-
-    def is_positive(self, v: Sequence[int]) -> bool:
-        return all(x >= 0 for x in v) and any(x > 0 for x in v)
 
 
 def _positive_root_closure(cartan: Sequence[Sequence[int]]) -> list[RootVec]:
@@ -422,22 +415,6 @@ class WeylGroup:
             raise InvalidRootSystem(f"cannot parse element {text!r}") from None
         return self.evaluate(word)
 
-    def right_descents(self, w: WeylElement) -> list[int]:
-        widx = self._own(w).idx
-        return [
-            i
-            for i in range(1, self.rootsystem.rank + 1)
-            if self.elements[self._right[widx][i - 1]].length < w.length
-        ]
-
-    def left_descents(self, w: WeylElement) -> list[int]:
-        widx = self._own(w).idx
-        return [
-            i
-            for i in range(1, self.rootsystem.rank + 1)
-            if self.elements[self._left[widx][i - 1]].length < w.length
-        ]
-
     def reflection(self, root: Sequence[int]) -> WeylElement:
         """The reflection s_alpha for a positive root alpha."""
         m = self.rootsystem.reflection_matrix(root)
@@ -469,9 +446,6 @@ class WeylGroup:
             return result
 
         return go(y.idx, w.idx)
-
-    def bruhat_interval(self, w: WeylElement) -> list[WeylElement]:
-        return [y for y in self.elements if self.bruhat_leq(y, w)]
 
 
 def generate_weyl(rs: RootSystem) -> WeylGroup:

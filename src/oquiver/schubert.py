@@ -12,8 +12,10 @@ where c_i(alpha) is the alpha_i coordinate of alpha; the scalar is exactly
 the pairing of the i-th fundamental coweight with alpha.  Products of two
 arbitrary Schubert classes are forced by generator products: each degree-k
 class is expressed as a rational combination of sigma_{s_i} . sigma_{u'}
-with l(u') = k - 1 (a triangular solve over the degree-k block), and the
-full multiplication table is then filled by iterated Chevalley steps.
+with l(u') = k - 1 (a triangular solve over the degree-k block).  These
+expressions are kept, since they also carry the action of every class on a
+module from the generator actions alone; the full multiplication table is
+filled from them by iterated Chevalley steps, on first use.
 
 Grading note: degrees here are l(w), i.e. half the cohomological degree.
 """
@@ -21,7 +23,6 @@ Grading note: degrees here are l(w), i.e. half the cohomological degree.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
 
 from .linalg import RowSpan, format_rational
 from .rootsystem import WeylElement, WeylGroup
@@ -106,24 +107,20 @@ def class_str(c: CohClass) -> str:
 
 
 class CohRing:
-    """H*(G/B) with its full precomputed multiplication table.
+    """H*(G/B): Chevalley's rule, the generator expressions of every class,
+    and (built on first use) the full multiplication table.
 
     Also carries, per simple reflection, the invariant-subalgebra basis
     {sigma_w : w s_i > w} and the change-of-basis data realizing
     C = sigma_{s_i} C^{s_i} (+) C^{s_i}.
     """
 
-    def __init__(self, group: WeylGroup, table: list[list["CohClass"]] | None = None):
+    def __init__(self, group: WeylGroup):
         self.group = group
         self.rootsystem = group.rootsystem
         self._chevalley_data = self._prepare_chevalley()
-        self._table: list[list[CohClass]] = []
-        if table is not None:
-            # restored from cache; the table is a unique mathematical object,
-            # so trusting it cannot change any downstream result
-            self._table = table
-        else:
-            self._build_table()
+        self.expressions = self._solve_expressions()
+        self._table: list[list[CohClass]] | None = None
         self._invariant: list[list[WeylElement]] = []
         self._split_spans: list[RowSpan] = []
         self._prepare_split()
@@ -163,7 +160,7 @@ class CohRing:
             out = out + self.chevalley_multiply(i, w).scale(coeff)
         return out
 
-    # -- full multiplication table ------------------------------------------
+    # -- generator expressions and the full multiplication table ------------
 
     def _class_vector(self, c: CohClass) -> list[Fraction]:
         v = [QQ(0)] * len(self.group)
@@ -171,21 +168,17 @@ class CohRing:
             v[w.idx] = coeff
         return v
 
-    def _vector_class(self, v: Sequence[Fraction]) -> CohClass:
-        return CohClass({self.group.elements[k]: c for k, c in enumerate(v) if c})
-
-    def _build_table(self) -> None:
+    def _solve_expressions(self) -> list[tuple[tuple[int, int, Fraction], ...]]:
+        """Per element u (by index), terms (i, u'.idx, c) with
+        sigma_u = sum c . sigma_{s_i} . sigma_{u'} and l(u') = l(u) - 1;
+        the identity has no terms."""
         g = self.group
         n = len(g)
-        table = [[None] * n for _ in range(n)]
-        for v in g.elements:
-            table[0][v.idx] = CohClass.basis(v)  # unit row
+        expressions: list[tuple[tuple[int, int, Fraction], ...]] = [()] * n
         by_length: dict[int, list[WeylElement]] = {}
         for w in g.elements:
             by_length.setdefault(w.length, []).append(w)
-
         for k in range(1, g.longest.length + 1):
-            # express each degree-k class through generator products
             sources: list[tuple[int, int]] = []  # (generator i, u'.idx)
             span = RowSpan(n, track=True)
             for u_prime in by_length[k - 1]:
@@ -199,23 +192,35 @@ class CohRing:
                     raise InternalConsistencyError(
                         f"sigma_{u} not spanned by generator products in degree {k}"
                     )
-                row = table[u.idx]
-                for v in g.elements:
+                expressions[u.idx] = tuple(
+                    (*sources[src], coeff) for src, coeff in combo.items()
+                )
+        return expressions
+
+    def _full_table(self) -> list[list[CohClass]]:
+        if self._table is None:
+            elements = self.group.elements
+            table = [[CohClass.basis(v) for v in elements]]  # unit row
+            for u in elements[1:]:
+                row = []
+                for v in elements:
                     acc = CohClass()
-                    for src, coeff in combo.items():
-                        i, up_idx = sources[src]
+                    for i, up_idx, coeff in self.expressions[u.idx]:
                         acc = acc + self.chevalley_class(i, table[up_idx][v.idx]).scale(coeff)
-                    row[v.idx] = acc
-        self._table = table
+                    row.append(acc)
+                table.append(row)
+            self._table = table
+        return self._table
 
     def multiply_basis(self, u: WeylElement, v: WeylElement) -> CohClass:
-        return self._table[u.idx][v.idx]
+        return self._full_table()[u.idx][v.idx]
 
     def multiply(self, a: CohClass, b: CohClass) -> CohClass:
+        table = self._full_table()
         out = CohClass()
         for u, cu in a.coeffs.items():
             for v, cv in b.coeffs.items():
-                out = out + self._table[u.idx][v.idx].scale(cu * cv)
+                out = out + table[u.idx][v.idx].scale(cu * cv)
         return out
 
     # -- invariants of a simple reflection and the splitting ---------------
@@ -228,11 +233,10 @@ class CohRing:
             if 2 * len(inv) != n:  # pragma: no cover - internal self-check
                 raise InternalConsistencyError("invariant basis is not half the group")
             span = RowSpan(n, track=True)
-            si = g.simple(i)
             for w in inv:
                 span.add(self._class_vector(CohClass.basis(w)))
             for w in inv:
-                span.add(self._class_vector(self._table[si.idx][w.idx]))
+                span.add(self._class_vector(self.chevalley_multiply(i, w)))
             if span.rank != n:  # pragma: no cover - internal self-check
                 raise InternalConsistencyError(
                     f"sigma_{i} C^s + C^s does not span C for i={i}"
@@ -265,7 +269,7 @@ class CohRing:
     def generator_table(self) -> list[tuple[WeylElement, list[CohClass]]]:
         """Rows sigma_w, columns sigma_{s_1} ... sigma_{s_r}."""
         return [
-            (w, [self._table[w.idx][self.group.simple(i).idx] for i in range(1, self.rootsystem.rank + 1)])
+            (w, [self.chevalley_multiply(i, w) for i in range(1, self.rootsystem.rank + 1)])
             for w in self.group.elements
         ]
 

@@ -7,10 +7,13 @@ The building block is extension along a simple reflection,
     extend(i, M) = C (x)_{C^{s_i}} M,
 
 with basis {1 (x) b, sigma_{s_i} (x) b} (interleaved per basis vector of M)
-and degrees deg(1 (x) b) = deg b - 1, deg(sigma_i (x) b) = deg b + 1.  The
-action of any sigma_u is computed by splitting sigma_u . a = x + sigma_i y
-with x, y invariant under s_i, so that sigma_u . (a (x) m) =
-1 (x) (x . m) + sigma_i (x) (y . m).
+and degrees deg(1 (x) b) = deg b - 1, deg(sigma_i (x) b) = deg b + 1.  A
+module is stored as the action matrices of the rank generators sigma_{s_j}
+alone, since they generate the ring; every other class acts through
+`derived_actions`.  The generator action on the extension is computed by
+splitting sigma_{s_j} . a = x + sigma_i y with x, y invariant under s_i
+(a = 1 or sigma_i, so x and y have degree at most 2), giving
+sigma_{s_j} . (a (x) m) = 1 (x) (x . m) + sigma_i (x) (y . m).
 
 Iterating over a word gives the 2^l-dimensional tensor word module.  V_w is
 then extracted from a word module for w (or, in shortcut mode, from
@@ -35,16 +38,15 @@ QQ = Fraction
 
 
 class GradedModule:
-    """A graded module over the cohomology ring, with one action matrix per
-    Schubert class (all of them, so class actions never need re-expanding).
-    """
+    """A graded module over the cohomology ring, stored as one action matrix
+    per rank generator sigma_{s_1}, ..., sigma_{s_r}."""
 
-    __slots__ = ("dim", "degrees", "action", "provenance")
+    __slots__ = ("dim", "degrees", "gens", "provenance")
 
-    def __init__(self, dim: int, degrees: Sequence[int], action: Sequence[QMatrix], provenance: str = ""):
+    def __init__(self, dim: int, degrees: Sequence[int], gens: Sequence[QMatrix], provenance: str = ""):
         self.dim = dim
         self.degrees = tuple(degrees)
-        self.action = list(action)
+        self.gens = list(gens)
         self.provenance = provenance
 
     def graded_dims(self) -> dict[int, int]:
@@ -53,19 +55,41 @@ class GradedModule:
             out[d] = out.get(d, 0) + 1
         return dict(sorted(out.items()))
 
-    def class_action(self, c: CohClass) -> QMatrix:
-        out = QMatrix.zeros(self.dim, self.dim)
-        for w, coeff in c.coeffs.items():
-            out = out + self.action[w.idx].scale(coeff)
-        return out
+
+def derived_actions(
+    ring: CohRing, gens: Sequence[QMatrix], start: QMatrix, top: int | None = None
+) -> list[QMatrix]:
+    """sigma_v . start for every v in element order, up to length `top`
+    (all of W by default), from the generator matrices alone through the
+    ring's expressions sigma_u = sum c . sigma_{s_i} . sigma_{u'}.
+
+    With `start` the identity these are the action matrices of the classes;
+    with a single column they are that vector's orbit.
+    """
+    out = [start]
+    for u in ring.group.elements[1:]:
+        if top is not None and u.length > top:
+            break
+        acc = None
+        for i, up_idx, coeff in ring.expressions[u.idx]:
+            term = (gens[i - 1] * out[up_idx]).scale(coeff)
+            acc = term if acc is None else acc + term
+        out.append(acc)
+    return out
+
+
+def class_matrix(actions: Sequence[QMatrix], c: CohClass, dim: int) -> QMatrix:
+    """The action of the class c, given the derived actions of its support."""
+    out = QMatrix.zeros(dim, dim)
+    for w, coeff in c.coeffs.items():
+        out = out + actions[w.idx].scale(coeff)
+    return out
 
 
 def trivial_module(ring: CohRing) -> GradedModule:
     """V_e: one dimension in degree 0; every sigma_v with v != e acts by 0."""
-    n = len(ring.group)
-    action = [QMatrix.zeros(1, 1) for _ in range(n)]
-    action[0] = QMatrix.identity(1)
-    return GradedModule(1, (0,), action, provenance="trivial")
+    gens = [QMatrix.zeros(1, 1) for _ in range(ring.rootsystem.rank)]
+    return GradedModule(1, (0,), gens, provenance="trivial")
 
 
 def extend(ring: CohRing, i: int, module: GradedModule) -> GradedModule:
@@ -76,26 +100,29 @@ def extend(ring: CohRing, i: int, module: GradedModule) -> GradedModule:
     for d in module.degrees:
         degrees.extend((d - 1, d + 1))
 
+    # the split parts below have degree <= 2, so classes up to length 2 suffice
+    low = derived_actions(ring, module.gens, QMatrix.identity(module.dim), top=2)
+
     si = g.simple(i)
-    action: list[QMatrix] = []
-    for u in g.elements:
-        x1, y1 = ring.split(i, CohClass.basis(u))
-        x2, y2 = ring.split(i, ring.multiply_basis(u, si))
-        x1m, y1m = module.class_action(x1), module.class_action(y1)
-        x2m, y2m = module.class_action(x2), module.class_action(y2)
+    gens: list[QMatrix] = []
+    for j in range(1, ring.rootsystem.rank + 1):
+        x1, y1 = ring.split(i, CohClass.basis(g.simple(j)))
+        x2, y2 = ring.split(i, ring.chevalley_multiply(j, si))
+        x1m, y1m = (class_matrix(low, c, module.dim) for c in (x1, y1))
+        x2m, y2m = (class_matrix(low, c, module.dim) for c in (x2, y2))
         rows = [[QQ(0)] * dim for _ in range(dim)]
         for m in range(module.dim):
-            for j in range(module.dim):
-                if x1m.data[m][j]:
-                    rows[2 * m][2 * j] = x1m.data[m][j]
-                if y1m.data[m][j]:
-                    rows[2 * m + 1][2 * j] = y1m.data[m][j]
-                if x2m.data[m][j]:
-                    rows[2 * m][2 * j + 1] = x2m.data[m][j]
-                if y2m.data[m][j]:
-                    rows[2 * m + 1][2 * j + 1] = y2m.data[m][j]
-        action.append(QMatrix(rows, cols=dim))
-    return GradedModule(dim, degrees, action, provenance=f"extend({i}, {module.provenance})")
+            for k in range(module.dim):
+                if x1m.data[m][k]:
+                    rows[2 * m][2 * k] = x1m.data[m][k]
+                if y1m.data[m][k]:
+                    rows[2 * m + 1][2 * k] = y1m.data[m][k]
+                if x2m.data[m][k]:
+                    rows[2 * m][2 * k + 1] = x2m.data[m][k]
+                if y2m.data[m][k]:
+                    rows[2 * m + 1][2 * k + 1] = y2m.data[m][k]
+        gens.append(QMatrix(rows, cols=dim))
+    return GradedModule(dim, degrees, gens, provenance=f"extend({i}, {module.provenance})")
 
 
 def word_module(ring: CohRing, word: Iterable[int]) -> GradedModule:
@@ -106,19 +133,12 @@ def word_module(ring: CohRing, word: Iterable[int]) -> GradedModule:
     return module
 
 
-def graded_hom_basis(
-    source: GradedModule,
-    target: GradedModule,
-    degree: int,
-    classes: Sequence[tuple[int, int]],
-) -> list[QMatrix]:
-    """Basis of degree-`degree` maps commuting with the given classes.
+def graded_hom_basis(source: GradedModule, target: GradedModule, degree: int) -> list[QMatrix]:
+    """Basis of degree-`degree` maps commuting with the generator actions,
+    hence with every class, since the ring is generated in degree one.
 
-    `classes` lists (element index, length) pairs whose action matrices are
-    imposed; ring generation in degree one means the simple reflections
-    suffice, but callers may impose more as a cross-check.  The result is
-    canonical: the RREF basis of the solution space over the matrix entries
-    in the degree band, ordered row-major.
+    The result is canonical: the RREF basis of the solution space over the
+    matrix entries in the degree band, ordered row-major.
     """
     positions = [
         (p, q)
@@ -131,10 +151,7 @@ def graded_hom_basis(
     nvars = len(positions)
 
     rows: list[list[Fraction]] = []
-    for ci, length in classes:
-        a_target = target.action[ci]
-        a_source = source.action[ci]
-        shift = 2 * length
+    for a_target, a_source in zip(target.gens, source.gens):
         constraint: dict[tuple[int, int], dict[int, Fraction]] = {}
         for k, (m, q) in enumerate(positions):
             col = q
@@ -152,8 +169,8 @@ def graded_hom_basis(
                     cell[k] = cell.get(k, QQ(0)) - a
         for key in sorted(constraint):
             p, q = key
-            # sanity: constraints live in the degree + shift band
-            assert target.degrees[p] == source.degrees[q] + degree + shift
+            # sanity: constraints live in the degree + 2 band
+            assert target.degrees[p] == source.degrees[q] + degree + 2
             sparse = constraint[key]
             rows.append([sparse.get(k, QQ(0)) for k in range(nvars)])
 
@@ -169,13 +186,9 @@ def graded_hom_basis(
     return out
 
 
-def _generator_classes(ring: CohRing) -> list[tuple[int, int]]:
-    return [(ring.group.simple(i).idx, 1) for i in range(1, ring.rootsystem.rank + 1)]
-
-
 def hom_degree0(ring: CohRing, source: GradedModule, target: GradedModule) -> list[QMatrix]:
     """Degree-0 maps commuting with the generator actions."""
-    return graded_hom_basis(source, target, 0, _generator_classes(ring))
+    return graded_hom_basis(source, target, 0)
 
 
 class CoverNotSeparable(InternalConsistencyError):
@@ -254,7 +267,7 @@ def extract_top(
     if not lower_vectors:
         # nothing to quotient by: the cover itself is V_w
         untouched = GradedModule(
-            dim, module.degrees, module.action, provenance=f"{module.provenance} (identity)"
+            dim, module.degrees, module.gens, provenance=f"{module.provenance} (identity)"
         )
         if len(hom_degree0(ring, untouched, untouched)) != 1:
             raise CoverNotSeparable(
@@ -270,14 +283,14 @@ def extract_top(
         unit = tuple(QQ(1) if k == x_idx else QQ(0) for k in range(dim))
         if span.contains(unit):
             continue
-        for v in g.elements:
-            vec = module.action[v.idx].col(x_idx)
+        for image in derived_actions(ring, module.gens, QMatrix([[x] for x in unit])):
+            vec = image.col(0)
             if any(vec) and span.add(vec):
                 chosen.append(vec)
     if span.rank != dim:  # pragma: no cover - internal self-check
         raise InternalConsistencyError("orbit sweep failed to span the cover")
 
-    # Step 3: action on the quotient, by solving against (chosen | lower).
+    # Step 3: generator actions on the quotient, by solving against (chosen | lower).
     solver = RowSpan(dim, track=True)
     for vec in chosen + lower_vectors:
         if not solver.add(vec):  # pragma: no cover - internal self-check
@@ -291,9 +304,8 @@ def extract_top(
             raise InternalConsistencyError("chosen basis vector is not homogeneous")
         degrees.append(degs.pop())
 
-    action = []
-    for v in g.elements:
-        mat = module.action[v.idx]
+    gens = []
+    for mat in module.gens:
         rows = [[QQ(0)] * new_dim for _ in range(new_dim)]
         for j, cvec in enumerate(chosen):
             image = mat.matvec(cvec)
@@ -303,10 +315,10 @@ def extract_top(
             for src, coeff in combo.items():
                 if src < new_dim:
                     rows[src][j] = coeff
-        action.append(QMatrix(rows, cols=new_dim))
+        gens.append(QMatrix(rows, cols=new_dim))
 
     quotient = GradedModule(
-        new_dim, degrees, action, provenance=f"{module.provenance} / lower terms"
+        new_dim, degrees, gens, provenance=f"{module.provenance} / lower terms"
     )
     if len(hom_degree0(ring, quotient, quotient)) != 1:
         raise CoverNotSeparable(

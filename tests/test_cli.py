@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from oquiver import cache
 from oquiver.cli import main
 from oquiver.icmod import icmodule_from_doc
 from oquiver.quiver import parse_relations
@@ -122,6 +123,18 @@ def test_check_suite(capsys):
     assert "checks passed" in out
 
 
+def test_check_modules_suite_a3(capsys):
+    # the shortcut-vs-full comparison is gated to rank 2: full word modules
+    # cannot be separated from A3 on
+    code, out, _ = run_cli(
+        "check", "--type", "A3", "--suite", "modules", "--no-cache", capsys=capsys
+    )
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[-1].startswith("2/2 checks passed")
+    assert all(line.startswith("ok   ") for line in lines[:-1])
+
+
 def test_unknown_type_is_domain_error(capsys):
     code, _, err = run_cli("weyl", "--type", "Z9", capsys=capsys)
     assert code == 1
@@ -139,6 +152,10 @@ def test_bad_element_is_domain_error(capsys):
 def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as info:
         main(["quiver", "--type", "A2", "--format", "yaml"])
+    assert info.value.code == 2
+    # --full selects how modules are built; IC-module documents take no such flag
+    with pytest.raises(SystemExit) as info:
+        main(["icmod", "validate", "module.json", "--full"])
     assert info.value.code == 2
 
 
@@ -207,8 +224,33 @@ def test_cold_warm_and_corrupt_cache(tmp_path):
     assert b"recomputing" in again.stderr
     assert again.stdout == cold.stdout
 
+    # valid JSON of the wrong shape: warn and recompute, never a traceback
+    for text in ("[1, 2]", json.dumps({"artifact_version": cache.ARTIFACT_VERSION, "payload": [1]})):
+        cache_file.write_text(text)
+        again = run_proc(*args, env=env)
+        assert again.returncode == 0
+        assert b"recomputing" in again.stderr
+        assert again.stdout == cold.stdout
+
     nocache = run_proc(*args, "--no-cache", env=env)
     assert nocache.stdout == cold.stdout
+
+
+def test_store_writes_through_a_private_temporary_file(tmp_path):
+    # an entry at "<name>.tmp" (another writer's, say) must not break a
+    # store, and a store leaves nothing but the cache file behind
+    pipeline = cache.build_pipeline("A1")
+    path = cache.cache_file(tmp_path, "A1", "shortcut")
+    path.with_suffix(".tmp").mkdir()
+    cache.store(path, pipeline.family)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        [path.name, path.with_suffix(".tmp").name]
+    )
+    restored = cache.load(path, pipeline.group, warn=pytest.fail)
+    assert restored is not None
+    assert [m.gens for m in restored[1].modules.values()] == [
+        m.gens for m in pipeline.family.modules.values()
+    ]
 
 
 def test_unwritable_cache_dir_is_domain_error(tmp_path, capsys):
