@@ -57,7 +57,7 @@ def _checksum(payload: dict) -> str:
 
 
 def _matrix_doc(m: QMatrix) -> list[list[str]]:
-    return [[format_rational(x) for x in row] for row in m.data]
+    return [[format_rational(x) for x in row] for row in m.dense()]
 
 
 def _matrix_from_doc(doc: list[list[str]], cols: int) -> QMatrix:

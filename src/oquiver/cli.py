@@ -137,7 +137,7 @@ def cmd_hom(args) -> int:
     print(f"dim Hom^{args.degree}(V[{y}], V[{w}]) = {hb.dim}")
     for n, mat in enumerate(hb.basis):
         print(f"basis[{n}]:")
-        for row in mat.data:
+        for row in mat.dense():
             print("  " + " ".join(format_rational(x) for x in row))
     return 0
 
@@ -180,12 +180,11 @@ def cmd_check(args) -> int:
 
 def _load_icmodule(args):
     doc = json.loads(Path(args.file).read_text(encoding="utf-8"))
-    system = doc.get("system") or {}
-    name = f"{system.get('type', '')}{system.get('rank', '')}"
-    if not name:
-        raise icmod_ops.ShapeError("document has no system field")
     pipeline = cache_mod.load_pipeline(
-        name, cache_dir=args.cache_dir, no_cache=args.no_cache, warn=_warn
+        icmod_ops.document_type(doc),
+        cache_dir=args.cache_dir,
+        no_cache=args.no_cache,
+        warn=_warn,
     )
     return pipeline, icmod_ops.icmodule_from_doc(pipeline.quiver, doc)
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .linalg import QMatrix, canonical_basis, format_rational, in_span, parse_rational, rank
+from .linalg import QMatrix, Row, canonical_basis, format_rational, in_span, parse_rational, rank
 from .quiver import Quiver
 from .schubert import InternalConsistencyError
 from .soergel import GradedModule, graded_hom_basis
@@ -111,7 +111,7 @@ def assemble_differential(q: Quiver, m: ICModule) -> tuple[QMatrix, list[int]]:
     """The total differential and the degree of each total-complex basis vector."""
     _check_shapes(q, m)
     offsets, degrees, total = _total_layout(q, m)
-    grid = [[QQ(0)] * total for _ in range(total)]
+    rows: list[Row] = [{} for _ in range(total)]
     for (y, w), terms in m.boundary.items():
         if y not in offsets or w not in offsets:
             continue  # a zero-dimensional stalk carries no maps
@@ -120,13 +120,9 @@ def assemble_differential(q: Quiver, m: ICModule) -> tuple[QMatrix, list[int]]:
             piece = q.hom1[(y, w)][k].kron(stalk_map)
             block = piece if block is None else block + piece
         oy, ow = offsets[y], offsets[w]
-        for r in range(block.rows):
-            row = block.data[r]
-            target = grid[ow + r]
-            for c in range(block.cols):
-                if row[c]:
-                    target[oy + c] = row[c]
-    return QMatrix(grid, cols=total), degrees
+        for r, c, value in block.nonzero_items():
+            rows[ow + r][oy + c] = value
+    return QMatrix.from_rows(rows, total), degrees
 
 
 def _squares_to_zero(d: QMatrix, degrees: list[int]) -> bool:
@@ -149,11 +145,11 @@ def total_cohomology(q: Quiver, m: ICModule) -> dict[int, int]:
     by_degree: dict[int, list[int]] = {}
     for idx, deg in enumerate(degrees):
         by_degree.setdefault(deg, []).append(idx)
-    ranks = {}
-    for n, cols in by_degree.items():
-        # the piece of d from degree n to degree n + 1
-        rows = by_degree.get(n + 1, [])
-        ranks[n] = rank(QMatrix([[d.data[r][c] for c in cols] for r in rows], cols=len(cols)))
+    # d has degree 1, so the rows of degree n + 1 are the piece of d from degree n
+    ranks = {
+        n: rank(QMatrix.from_rows([d.data[r] for r in by_degree.get(n + 1, [])], d.cols))
+        for n in by_degree
+    }
     out = {}
     for n in sorted(by_degree):
         h = len(by_degree[n]) - ranks[n] - ranks.get(n - 1, 0)
@@ -229,15 +225,13 @@ def rep_satisfies_relations(q: Quiver, rep: QuiverRep) -> bool:
 
 
 def _invert(mat: QMatrix) -> QMatrix:
-    augmented = QMatrix(
-        [list(row) + [QQ(1) if i == j else QQ(0) for j in range(mat.rows)]
-         for i, row in enumerate(mat.data)],
-        cols=mat.cols + mat.rows,
-    )
-    rows = canonical_basis(augmented.data, augmented.cols)
-    if len(rows) != mat.rows:
+    """The inverse, read off the RREF [I | A^-1] of [A | I]."""
+    n = mat.cols
+    rows = canonical_basis(({**row, n + i: QQ(1)} for i, row in enumerate(mat.data)), n + mat.rows)
+    # the RREF always has full rank; A is singular iff a pivot lands in the I block
+    if mat.rows != n or any(min(row) >= n for row in rows):
         raise InternalConsistencyError("matrix is singular")
-    return QMatrix([row[mat.cols:] for row in rows], cols=mat.rows)
+    return QMatrix.from_rows(({j - n: v for j, v in row.items() if j >= n} for row in rows), n)
 
 
 def _dual_module(module: GradedModule) -> GradedModule:
@@ -272,6 +266,11 @@ def _duality_isos(q: Quiver) -> list[QMatrix]:
     return isos
 
 
+def _entries(m: QMatrix) -> Row:
+    """The entries of a matrix as one Row, indexed row-major."""
+    return {p * m.cols + c: v for p, c, v in m.nonzero_items()}
+
+
 def verdier_dual(q: Quiver, m: ICModule) -> ICModule:
     """Dual stalks; boundary (y, w) is the graded transpose of boundary (w, y),
     re-expressed in the canonical Hom^1 bases.  No sign is introduced."""
@@ -282,30 +281,20 @@ def verdier_dual(q: Quiver, m: ICModule) -> ICModule:
     for (w, y), terms in m.boundary.items():
         # the stored pair maps stalk w -> stalk y; the dual pair is (y, w)
         basis = q.hom1[(y, w)]
-        mod_w = q.family.modules[w]
-        mod_y = q.family.modules[y]
-        positions = [
-            (p, c)
-            for p in range(mod_w.dim)
-            for c in range(mod_y.dim)
-            if mod_w.degrees[p] == mod_y.degrees[c] + 1
-        ]
-        basis_vecs = [[b.data[p][c] for (p, c) in positions] for b in basis]
+        size = basis[0].rows * basis[0].cols
+        basis_rows = [_entries(b) for b in basis]
         dual_terms: dict[int, QMatrix] = {}
         for k, stalk_map in terms:
             transported = inverses[w] * q.hom1[(w, y)][k].transpose() * isos[y]
-            ok, coeffs = in_span(
-                [transported.data[p][c] for (p, c) in positions], basis_vecs
-            )
+            ok, coeffs = in_span(_entries(transported), basis_rows, size)
             if not ok:  # pragma: no cover - internal self-check
                 raise InternalConsistencyError("transposed boundary left Hom^1")
-            for idx, coeff in enumerate(coeffs):
-                if coeff:
-                    piece = stalk_map.transpose().scale(coeff)
-                    if idx in dual_terms:
-                        dual_terms[idx] = dual_terms[idx] + piece
-                    else:
-                        dual_terms[idx] = piece
+            for idx, coeff in coeffs.items():
+                piece = stalk_map.transpose().scale(coeff)
+                if idx in dual_terms:
+                    dual_terms[idx] = dual_terms[idx] + piece
+                else:
+                    dual_terms[idx] = piece
         if dual_terms:
             boundary[(y, w)] = sorted(dual_terms.items())
     return ICModule(dict(m.stalks), boundary)
@@ -324,7 +313,7 @@ def icmodule_to_doc(q: Quiver, m: ICModule) -> dict:
                 "from": str(g.elements[y]),
                 "to": str(g.elements[w]),
                 "k": k,
-                "matrix": [[format_rational(x) for x in row] for row in mat.data],
+                "matrix": [[format_rational(x) for x in row] for row in mat.dense()],
             }
             for (y, w), terms in sorted(m.boundary.items())
             for k, mat in terms
@@ -332,24 +321,70 @@ def icmodule_to_doc(q: Quiver, m: ICModule) -> dict:
     }
 
 
+def _system(doc) -> dict:
+    if not isinstance(doc, dict):
+        raise ShapeError("document is not a JSON object")
+    system = doc.get("system") or {}
+    if not isinstance(system, dict):
+        raise ShapeError("document system is not an object")
+    return system
+
+
+def document_type(doc) -> str:
+    """The root system name, like "A3", that an IC-module document is for."""
+    system = _system(doc)
+    name = f"{system.get('type', '')}{system.get('rank', '')}"
+    if not name:
+        raise ShapeError("document has no system field")
+    return name
+
+
+def _element(q: Quiver, text, where: str) -> int:
+    if not isinstance(text, str):
+        raise ShapeError(f"{where} is {text!r}, not an element string")
+    return q.group.parse(text).idx
+
+
+def _stalk_matrix(rows, cols: int, where: str) -> QMatrix:
+    if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+        raise ShapeError(f"{where}: matrix is not a list of rows")
+    if not all(isinstance(x, str) for r in rows for x in r):
+        raise ShapeError(f'{where}: matrix entries must be strings like "p/q"')
+    try:
+        entries = [[parse_rational(x) for x in r] for r in rows]
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ShapeError(f"{where}: bad matrix entry ({exc})") from None
+    return QMatrix(entries, cols=cols)
+
+
 def icmodule_from_doc(q: Quiver, doc: dict) -> ICModule:
-    g = q.group
-    rs = g.rootsystem
-    system = doc.get("system", {})
+    """Read a document; malformed content raises ShapeError naming the problem."""
+    rs = q.group.rootsystem
+    system = _system(doc)
     if system and (system.get("type") != rs.type_label or system.get("rank") != rs.rank):
         raise ShapeError(
             f"document is for {system.get('type')}{system.get('rank')}, quiver is {rs.name}"
         )
-    stalks = {g.parse(el).idx: int(d) for el, d in doc["stalks"].items()}
+    if not isinstance(doc.get("stalks"), dict):
+        raise ShapeError("document has no stalks object")
+    stalks = {}
+    for el, d in doc["stalks"].items():
+        if type(d) is not int or d < 0:
+            raise ShapeError(f"stalk of {el} is {d!r}, not a nonnegative integer")
+        stalks[_element(q, el, "stalk element")] = d
+    entries = doc.get("boundary", [])
+    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+        raise ShapeError("document boundary is not a list of objects")
     boundary: dict[tuple[int, int], list[tuple[int, QMatrix]]] = {}
-    for entry in doc.get("boundary", []):
-        y = g.parse(entry["from"]).idx
-        w = g.parse(entry["to"]).idx
-        mat = QMatrix(
-            [[parse_rational(x) for x in row] for row in entry["matrix"]],
-            cols=stalks.get(y, 0),
-        )
-        boundary.setdefault((y, w), []).append((int(entry["k"]), mat))
+    for n, entry in enumerate(entries):
+        where = f"boundary entry {n}"
+        y = _element(q, entry.get("from"), f"{where} from")
+        w = _element(q, entry.get("to"), f"{where} to")
+        k = entry.get("k")
+        if type(k) is not int:
+            raise ShapeError(f"{where}: k is {k!r}, not an integer")
+        mat = _stalk_matrix(entry.get("matrix"), stalks.get(y, 0), where)
+        boundary.setdefault((y, w), []).append((k, mat))
     m = ICModule(stalks, boundary)
     _check_shapes(q, m)
     return m

@@ -7,8 +7,9 @@ ranks decide dimensions downstream, and a rank decision corrupted by
 rounding would silently change arrow or relator counts.
 
 Pivoting is deterministic (first nonzero entry, leftmost column first), so
-every computed basis is reproducible across runs and platforms.  Matrices
-are dense; the sizes in scope are at most a few hundred rows.
+every computed basis is reproducible across runs and platforms.  Storage is
+sparse: a vector is a `Row`, a dict mapping each column to its nonzero
+entry, and a matrix is a tuple of Rows.  Zeros are never stored.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 QQ = Fraction
-Vec = tuple[Fraction, ...]
+Row = dict[int, Fraction]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -40,57 +41,58 @@ def parse_rational(s: str) -> Fraction:
 
 
 class QMatrix:
-    """An immutable dense matrix of exact rationals.
+    """An immutable sparse matrix of exact rationals.
 
-    Entries are normalized to ``Fraction`` on construction; the data is a
-    tuple of row tuples, so instances are hashable and safe to share.
+    `data` holds one Row per matrix row with no zero entries, so equal
+    matrices have equal data.  Build from a dense literal with
+    ``QMatrix([[...], ...])`` or from Rows with :meth:`from_rows`; read a
+    dense copy with :meth:`dense`.
     """
 
     __slots__ = ("rows", "cols", "data")
 
-    def __init__(self, data: Iterable[Iterable[Fraction | int]], cols: int | None = None):
-        rows = tuple(tuple(Fraction(x) for x in row) for row in data)
-        if rows:
-            width = len(rows[0])
-            if any(len(r) != width for r in rows):
+    def __init__(self, data: Iterable[Iterable[Fraction | int | str]], cols: int | None = None):
+        dense = [tuple(row) for row in data]
+        if dense:
+            cols = len(dense[0])
+            if any(len(r) != cols for r in dense):
                 raise DimensionMismatch("ragged rows")
-        else:
-            if cols is None:
-                raise DimensionMismatch("empty matrix needs an explicit column count")
-            width = cols
-        object.__setattr__(self, "rows", len(rows))
-        object.__setattr__(self, "cols", width)
-        object.__setattr__(self, "data", rows)
+        elif cols is None:
+            raise DimensionMismatch("empty matrix needs an explicit column count")
+        self._set(tuple({j: v for j, v in enumerate(map(Fraction, r)) if v} for r in dense), cols)
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[Row], cols: int) -> "QMatrix":
+        """A matrix with the given Rows (Fraction entries); zero entries are dropped."""
+        m = object.__new__(cls)
+        m._set(tuple({j: v for j, v in row.items() if v} for row in rows), cols)
+        return m
+
+    def _set(self, data: tuple[Row, ...], cols: int) -> None:
+        object.__setattr__(self, "rows", len(data))
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "data", data)
 
     def __setattr__(self, name, value):  # pragma: no cover - guards immutability
         raise AttributeError("QMatrix is immutable")
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "QMatrix":
-        return cls([[_ZERO] * cols for _ in range(rows)], cols=cols)
+        return cls.from_rows([{}] * rows, cols)
 
     @classmethod
     def identity(cls, n: int) -> "QMatrix":
-        return cls([[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)])
+        return cls.from_rows([{i: _ONE} for i in range(n)], n)
 
     def __getitem__(self, ij: tuple[int, int]) -> Fraction:
         i, j = ij
-        return self.data[i][j]
+        return self.data[i].get(j, _ZERO)
 
-    def row(self, i: int) -> Vec:
-        return self.data[i]
+    def col(self, j: int) -> Row:
+        return {i: row[j] for i, row in enumerate(self.data) if j in row}
 
-    def col(self, j: int) -> Vec:
-        return tuple(r[j] for r in self.data)
-
-    def columns(self) -> list[Vec]:
-        return [self.col(j) for j in range(self.cols)]
-
-    def _same_shape(self, other: "QMatrix") -> None:
-        if self.rows != other.rows or self.cols != other.cols:
-            raise DimensionMismatch(
-                f"{self.rows}x{self.cols} vs {other.rows}x{other.cols}"
-            )
+    def dense(self) -> list[list[Fraction]]:
+        return [[row.get(j, _ZERO) for j in range(self.cols)] for row in self.data]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, QMatrix):
@@ -98,97 +100,93 @@ class QMatrix:
         return self.rows == other.rows and self.cols == other.cols and self.data == other.data
 
     def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self.data))
+        return hash((self.rows, self.cols, tuple(frozenset(r.items()) for r in self.data)))
 
     def __add__(self, other: "QMatrix") -> "QMatrix":
-        self._same_shape(other)
-        return QMatrix(
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)],
-            cols=self.cols,
-        )
-
-    def __sub__(self, other: "QMatrix") -> "QMatrix":
-        self._same_shape(other)
-        return QMatrix(
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)],
-            cols=self.cols,
-        )
-
-    def __neg__(self) -> "QMatrix":
-        return QMatrix([[-a for a in row] for row in self.data], cols=self.cols)
+        if self.rows != other.rows or self.cols != other.cols:
+            raise DimensionMismatch(f"{self.rows}x{self.cols} vs {other.rows}x{other.cols}")
+        out = []
+        for ra, rb in zip(self.data, other.data):
+            acc = dict(ra)
+            for j, b in rb.items():
+                acc[j] = acc.get(j, _ZERO) + b
+            out.append(acc)
+        return QMatrix.from_rows(out, self.cols)
 
     def scale(self, c: Fraction | int) -> "QMatrix":
         c = Fraction(c)
-        return QMatrix([[c * a for a in row] for row in self.data], cols=self.cols)
+        return QMatrix.from_rows(
+            ({j: c * a for j, a in row.items()} for row in self.data), self.cols
+        )
 
     def __mul__(self, other: "QMatrix") -> "QMatrix":
         if self.cols != other.rows:
             raise DimensionMismatch(f"{self.rows}x{self.cols} * {other.rows}x{other.cols}")
-        # Sparse-aware triple loop: real workloads here are mostly 0/±1 entries.
-        out = [[_ZERO] * other.cols for _ in range(self.rows)]
-        for i, row in enumerate(self.data):
-            out_i = out[i]
-            for k, a in enumerate(row):
-                if a:
-                    other_k = other.data[k]
-                    for j, b in enumerate(other_k):
-                        if b:
-                            out_i[j] += a * b
-        return QMatrix(out, cols=other.cols)
+        out = []
+        for row in self.data:
+            acc: Row = {}
+            for k, a in row.items():
+                for j, b in other.data[k].items():
+                    acc[j] = acc.get(j, _ZERO) + a * b
+            out.append(acc)
+        return QMatrix.from_rows(out, other.cols)
 
-    def matvec(self, v: Sequence[Fraction]) -> Vec:
-        if self.cols != len(v):
-            raise DimensionMismatch("matvec shape")
-        return tuple(
-            sum((a * v[k] for k, a in enumerate(row) if a and v[k]), _ZERO)
-            for row in self.data
-        )
+    def matvec(self, v: Row) -> Row:
+        out = {}
+        for i, row in enumerate(self.data):
+            s = sum((a * v[k] for k, a in row.items() if k in v), _ZERO)
+            if s:
+                out[i] = s
+        return out
 
     def transpose(self) -> "QMatrix":
-        return QMatrix(
-            [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)],
-            cols=self.rows,
-        )
+        out: list[Row] = [{} for _ in range(self.cols)]
+        for i, row in enumerate(self.data):
+            for j, a in row.items():
+                out[j][i] = a
+        return QMatrix.from_rows(out, self.rows)
 
     def kron(self, other: "QMatrix") -> "QMatrix":
         """Kronecker product; block (i, k) of the result is self[i,k] * other."""
-        out = [
-            [_ZERO] * (self.cols * other.cols) for _ in range(self.rows * other.rows)
-        ]
-        for i, row in enumerate(self.data):
-            for k, a in enumerate(row):
-                if a:
-                    for t in range(other.rows):
-                        target = out[i * other.rows + t]
-                        base = k * other.cols
-                        for u, b in enumerate(other.data[t]):
-                            if b:
-                                target[base + u] = a * b
-        return QMatrix(out, cols=self.cols * other.cols)
+        w = other.cols
+        return QMatrix.from_rows(
+            (
+                {k * w + u: a * b for k, a in row.items() for u, b in orow.items()}
+                for row in self.data
+                for orow in other.data
+            ),
+            self.cols * w,
+        )
 
     def is_zero(self) -> bool:
-        return all(not a for row in self.data for a in row)
+        return not any(self.data)
 
     def nonzero_items(self) -> Iterator[tuple[int, int, Fraction]]:
         for i, row in enumerate(self.data):
-            for j, a in enumerate(row):
-                if a:
-                    yield i, j, a
-
-    def to_lists(self) -> list[list[Fraction]]:
-        return [list(row) for row in self.data]
+            for j, a in row.items():
+                yield i, j, a
 
     def __repr__(self) -> str:
-        body = "; ".join(" ".join(format_rational(a) for a in row) for row in self.data)
+        body = "; ".join(" ".join(format_rational(a) for a in row) for row in self.dense())
         return f"QMatrix({self.rows}x{self.cols}: {body})"
+
+
+def _subtract(target: Row, c: Fraction, row: Row) -> None:
+    """target -= c * row in place, dropping the entries that cancel."""
+    for j, v in row.items():
+        new = target.get(j, _ZERO) - c * v
+        if new:
+            target[j] = new
+        else:
+            target.pop(j, None)
 
 
 class RowSpan:
     """Incrementally maintained reduced row echelon span.
 
-    Rows are stored sparsely (dict column -> value), each with leading
-    coefficient 1 at its pivot and that pivot cleared from every other
-    stored row, i.e. the stored rows always form the RREF of the span.
+    Rows are stored with leading coefficient 1 at their pivot and that pivot
+    cleared from every other stored row, i.e. the stored rows always form
+    the RREF of the span.
 
     With ``track=True`` each stored row also carries its expression over
     the vectors fed to :meth:`add`, so membership tests can return exact
@@ -198,43 +196,36 @@ class RowSpan:
     def __init__(self, ncols: int, track: bool = False):
         self.ncols = ncols
         self.track = track
-        self._rows: dict[int, dict[int, Fraction]] = {}  # pivot -> sparse row
-        self._combos: dict[int, dict[int, Fraction]] = {}  # pivot -> combo over gens
+        self._rows: dict[int, Row] = {}  # pivot -> row
+        self._combos: dict[int, Row] = {}  # pivot -> combo over gens
         self.ngens = 0  # number of vectors fed to add(), independent or not
 
     @property
     def rank(self) -> int:
         return len(self._rows)
 
-    def _reduce(self, vec: dict[int, Fraction], combo: dict[int, Fraction] | None):
+    def _vector(self, vector: Row) -> Row:
+        vec = {j: Fraction(v) for j, v in vector.items() if v}
+        if vec and not (0 <= min(vec) and max(vec) < self.ncols):
+            raise DimensionMismatch("vector column outside the span width")
+        return vec
+
+    def _reduce(self, vec: Row, combo: Row | None):
         for pivot in sorted(self._rows):
             c = vec.get(pivot)
             if not c:
                 continue
-            row = self._rows[pivot]
-            for col, val in row.items():
-                new = vec.get(col, _ZERO) - c * val
-                if new:
-                    vec[col] = new
-                else:
-                    vec.pop(col, None)
+            _subtract(vec, c, self._rows[pivot])
             if combo is not None:
-                for g, val in self._combos[pivot].items():
-                    new = combo.get(g, _ZERO) + c * val
-                    if new:
-                        combo[g] = new
-                    else:
-                        combo.pop(g, None)
+                _subtract(combo, -c, self._combos[pivot])
         return vec, combo
 
-    def add(self, vector: Sequence[Fraction]) -> bool:
+    def add(self, vector: Row) -> bool:
         """Insert a vector; returns True if it enlarged the span."""
-        if len(vector) != self.ncols:
-            raise DimensionMismatch("vector length does not match span width")
+        vec = self._vector(vector)
         g = self.ngens
         self.ngens += 1
-        vec = {j: Fraction(v) for j, v in enumerate(vector) if v}
-        combo: dict[int, Fraction] | None = {} if self.track else None
+        combo: Row | None = {} if self.track else None
         vec, combo = self._reduce(vec, combo)
         if not vec:
             return False
@@ -249,55 +240,37 @@ class RowSpan:
         for p, other in self._rows.items():
             c = other.get(pivot)
             if c:
-                for col, val in row.items():
-                    new = other.get(col, _ZERO) - c * val
-                    if new:
-                        other[col] = new
-                    else:
-                        other.pop(col, None)
+                _subtract(other, c, row)
                 if self.track:
-                    oc = self._combos[p]
-                    for i, val in newcombo.items():
-                        new = oc.get(i, _ZERO) - c * val
-                        if new:
-                            oc[i] = new
-                        else:
-                            oc.pop(i, None)
+                    _subtract(self._combos[p], c, newcombo)
         self._rows[pivot] = row
         if self.track:
             self._combos[pivot] = newcombo
         return True
 
-    def residual(self, vector: Sequence[Fraction]) -> dict[int, Fraction]:
-        vec = {j: Fraction(v) for j, v in enumerate(vector) if v}
-        vec, _ = self._reduce(vec, None)
+    def residual(self, vector: Row) -> Row:
+        vec, _ = self._reduce(self._vector(vector), None)
         return vec
 
-    def contains(self, vector: Sequence[Fraction]) -> bool:
+    def contains(self, vector: Row) -> bool:
         return not self.residual(vector)
 
-    def coefficients(self, vector: Sequence[Fraction]) -> dict[int, Fraction] | None:
+    def coefficients(self, vector: Row) -> Row | None:
         """Express the vector over the vectors previously added, if possible.
 
-        Returns a sparse dict (gen index -> coefficient) or None when the
-        vector is outside the span.  Dependent generators never appear.
+        Returns a Row (gen index -> coefficient) or None when the vector is
+        outside the span.  Dependent generators never appear.
         """
         if not self.track:
             raise ValueError("RowSpan built without track=True")
-        vec = {j: Fraction(v) for j, v in enumerate(vector) if v}
-        combo: dict[int, Fraction] = {}
-        vec, combo = self._reduce(vec, combo)
+        vec, combo = self._reduce(self._vector(vector), {})
         if vec:
             return None
         return combo
 
-    def basis_rows(self) -> list[Vec]:
-        """The stored rows, in RREF order (ascending pivot)."""
-        out = []
-        for pivot in sorted(self._rows):
-            row = self._rows[pivot]
-            out.append(tuple(row.get(j, _ZERO) for j in range(self.ncols)))
-        return out
+    def basis_rows(self) -> list[Row]:
+        """The stored rows, in RREF order (ascending pivot), each in column order."""
+        return [dict(sorted(self._rows[p].items())) for p in sorted(self._rows)]
 
 
 def rref(m: QMatrix) -> tuple[QMatrix, tuple[int, ...]]:
@@ -306,13 +279,9 @@ def rref(m: QMatrix) -> tuple[QMatrix, tuple[int, ...]]:
     The RREF of a matrix is unique, so the result is a canonical form of
     the row space.  Zero rows are kept so the shape is preserved.
     """
-    span = RowSpan(m.cols)
-    for row in m.data:
-        span.add(row)
-    rows = span.basis_rows()
-    pivots = tuple(sorted(span._rows))
-    pad = [tuple([_ZERO] * m.cols)] * (m.rows - len(rows))
-    return QMatrix(rows + pad, cols=m.cols), pivots
+    rows = canonical_basis(m.data, m.cols)
+    pivots = tuple(min(row) for row in rows)
+    return QMatrix.from_rows(rows + [{}] * (m.rows - len(rows)), m.cols), pivots
 
 
 def rank(m: QMatrix) -> int:
@@ -322,7 +291,7 @@ def rank(m: QMatrix) -> int:
     return span.rank
 
 
-def nullspace(m: QMatrix) -> list[Vec]:
+def nullspace(m: QMatrix) -> list[Row]:
     """A basis of the right kernel {v : m v = 0}.
 
     One basis vector per free column of the RREF, in ascending free-column
@@ -330,24 +299,23 @@ def nullspace(m: QMatrix) -> list[Vec]:
     pivot.  Size is always cols - rank(m).
     """
     reduced, pivots = rref(m)
-    pivot_set = set(pivots)
-    basis: list[Vec] = []
+    basis: list[Row] = []
     for free in range(m.cols):
-        if free in pivot_set:
+        if free in pivots:
             continue
-        v = [_ZERO] * m.cols
-        v[free] = _ONE
+        v = {free: _ONE}
         for r, p in enumerate(pivots):
-            v[p] = -reduced.data[r][free]
-        basis.append(tuple(v))
+            if free in reduced.data[r]:
+                v[p] = -reduced.data[r][free]
+        basis.append(dict(sorted(v.items())))
     return basis
 
 
-def nullspace_of_rows(rows: Iterable[Sequence[Fraction]], ncols: int) -> list[Vec]:
+def nullspace_of_rows(rows: Iterable[Row], ncols: int) -> list[Row]:
     """Kernel basis for a constraint system given row by row.
 
-    Equivalent to ``nullspace(QMatrix(rows))`` but skips materializing the
-    (often hugely redundant) constraint matrix.
+    Equivalent to ``nullspace(QMatrix.from_rows(rows, ncols))`` but skips
+    materializing the (often hugely redundant) constraint matrix.
     """
     span = RowSpan(ncols)
     for row in rows:
@@ -356,21 +324,20 @@ def nullspace_of_rows(rows: Iterable[Sequence[Fraction]], ncols: int) -> list[Ve
         span.add(row)
     pivots = sorted(span._rows)
     pivot_set = set(pivots)
-    basis: list[Vec] = []
+    basis: list[Row] = []
     for free in range(ncols):
         if free in pivot_set:
             continue
-        v = [_ZERO] * ncols
-        v[free] = _ONE
+        v = {free: _ONE}
         for p in pivots:
             c = span._rows[p].get(free)
             if c:
                 v[p] = -c
-        basis.append(tuple(v))
+        basis.append(dict(sorted(v.items())))
     return basis
 
 
-def canonical_basis(vectors: Iterable[Sequence[Fraction]], ncols: int) -> list[Vec]:
+def canonical_basis(vectors: Iterable[Row], ncols: int) -> list[Row]:
     """RREF basis of the span of the given vectors (canonical, deterministic)."""
     span = RowSpan(ncols)
     for v in vectors:
@@ -378,40 +345,30 @@ def canonical_basis(vectors: Iterable[Sequence[Fraction]], ncols: int) -> list[V
     return span.basis_rows()
 
 
-def in_span(
-    v: Sequence[Fraction], basis: Sequence[Sequence[Fraction]]
-) -> tuple[bool, list[Fraction] | None]:
-    """Membership of v in the rational span of the basis vectors.
+def in_span(v: Row, basis: Sequence[Row], ncols: int) -> tuple[bool, Row | None]:
+    """Membership of v in the rational span of the basis vectors, all of
+    width `ncols`.
 
-    On success also returns one exact coefficient vector (coefficients of
-    basis vectors made redundant by earlier ones are 0).
+    On success also returns one exact coefficient Row over the basis
+    indices (basis vectors made redundant by earlier ones get no entry).
     """
-    n = len(v)
-    for b in basis:
-        if len(b) != n:
-            raise DimensionMismatch("basis vector length does not match target")
-    span = RowSpan(n, track=True)
+    span = RowSpan(ncols, track=True)
     for b in basis:
         span.add(b)
     combo = span.coefficients(v)
-    if combo is None:
-        return False, None
-    return True, [combo.get(i, _ZERO) for i in range(len(basis))]
+    return combo is not None, combo
 
 
-def solve(a: QMatrix, b: Sequence[Fraction]) -> Vec | None:
+def solve(a: QMatrix, b: Row) -> Row | None:
     """Exact solution of a x = b, or None when the system is inconsistent.
 
     Free variables are set to 0 under the RREF, so the answer is the same
     on every run.
     """
-    if a.rows != len(b):
-        raise DimensionMismatch("right-hand side length does not match rows")
-    augmented = QMatrix([list(row) + [bi] for row, bi in zip(a.data, b)], cols=a.cols + 1)
-    reduced, pivots = rref(augmented)
-    if pivots and pivots[-1] == a.cols:
+    if b and not (0 <= min(b) and max(b) < a.rows):
+        raise DimensionMismatch("right-hand side index outside the rows")
+    augmented = [{**row, a.cols: b.get(i, _ZERO)} for i, row in enumerate(a.data)]
+    rows = canonical_basis(augmented, a.cols + 1)
+    if rows and min(rows[-1]) == a.cols:
         return None  # a pivot in the constants column: no solution
-    x = [_ZERO] * a.cols
-    for r, p in enumerate(pivots):
-        x[p] = reduced.data[r][a.cols]
-    return tuple(x)
+    return {min(row): row[a.cols] for row in rows if a.cols in row}

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .linalg import QMatrix, RowSpan, canonical_basis, format_rational
+from .linalg import QMatrix, Row, RowSpan, canonical_basis, format_rational
 from .rootsystem import WeylElement
 from .homspace import hom_basis
 from .soergel import ModuleFamily
@@ -117,26 +117,23 @@ class Quiver:
                 keys = self.paths(*pair)
                 if not keys:
                     continue
-                products = []
-                for (_, j, z_idx, i, _) in keys:
-                    products.append(
-                        self.hom1[(z_idx, w.idx)][i] * self.hom1[(y.idx, z_idx)][j]
-                    )
-                dim_w = self.family[w].dim
-                dim_y = self.family[y].dim
-                rows = []
-                for p in range(dim_w):
-                    for q in range(dim_y):
-                        row = [m.data[p][q] for m in products]
-                        if any(row):
-                            rows.append(row)
-                basis_rows = canonical_basis(rows, len(keys))
+                basis_rows = canonical_basis(self._product_rows(keys), len(keys))
                 out[pair] = [
-                    PathCombo(y.idx, w.idx, {k: c for k, c in zip(keys, vec) if c})
+                    PathCombo(y.idx, w.idx, {keys[n]: c for n, c in vec.items()})
                     for vec in basis_rows
                 ]
         self._relators = out
         return out
+
+    def _product_rows(self, keys: Sequence[PathKey]) -> list[Row]:
+        """The entries of dtilde^2 on one pair: a Row over the paths `keys`
+        per nonzero matrix entry (p, q) of the path products, in (p, q) order."""
+        entries: dict[tuple[int, int], Row] = {}
+        for n, (y, j, z, i, w) in enumerate(keys):
+            product = self.hom1[(z, w)][i] * self.hom1[(y, z)][j]
+            for p, q, value in product.nonzero_items():
+                entries.setdefault((p, q), {})[n] = value
+        return [entries[pq] for pq in sorted(entries)]
 
     def relator_dim(self) -> int:
         return sum(len(v) for v in self.relators().values())
@@ -174,13 +171,8 @@ class Quiver:
         for pair in pairs:
             keys = self.paths(*pair)
             key_index = {k: n for n, k in enumerate(keys)}
-            mine = [
-                [combo.terms.get(k, QQ(0)) for k in keys]
-                for combo in computed.get(pair, [])
-            ]
-            theirs = []
-            for combo in grouped.get(pair, []):
-                theirs.append([combo.terms.get(k, QQ(0)) for k in keys])
+            mine = [_combo_row(key_index, c) for c in computed.get(pair, [])]
+            theirs = [_combo_row(key_index, c) for c in grouped.get(pair, [])]
             if canonical_basis(mine, len(keys)) != canonical_basis(theirs, len(keys)):
                 return False
         return True
@@ -222,19 +214,18 @@ class Quiver:
                 keys = self.paths(*pair)
                 if not keys:
                     continue
+                key_index = {k: n for n, k in enumerate(keys)}
                 span = RowSpan(len(keys))
                 for combo in rel.get(pair, []):
-                    span.add([combo.terms.get(k, QQ(0)) for k in keys])
-                products = [
-                    self.hom1[(z_idx, w.idx)][i] * self.hom1[(y.idx, z_idx)][j]
-                    for (_, j, z_idx, i, _) in keys
-                ]
-                for p in range(self.family[w].dim):
-                    for q in range(self.family[y].dim):
-                        row = [m.data[p][q] for m in products]
-                        if any(row) and not span.contains(row):
-                            return False
+                    span.add(_combo_row(key_index, combo))
+                if not all(span.contains(row) for row in self._product_rows(keys)):
+                    return False
         return True
+
+
+def _combo_row(key_index: dict[PathKey, int], combo: PathCombo) -> Row:
+    """A path combination as a Row over the path coordinates of its pair."""
+    return {key_index[k]: c for k, c in combo.terms.items()}
 
 
 def build_quiver(family: ModuleFamily) -> Quiver:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .linalg import RowSpan, format_rational
+from .linalg import Row, RowSpan, format_rational
 from .rootsystem import WeylElement, WeylGroup
 
 QQ = Fraction
@@ -87,6 +87,11 @@ class CohClass:
         return class_str(self)
 
     __repr__ = __str__
+
+
+def _row(c: CohClass) -> Row:
+    """The class as a Row over element indices."""
+    return {w.idx: coeff for w, coeff in c.coeffs.items()}
 
 
 def class_str(c: CohClass) -> str:
@@ -162,12 +167,6 @@ class CohRing:
 
     # -- generator expressions and the full multiplication table ------------
 
-    def _class_vector(self, c: CohClass) -> list[Fraction]:
-        v = [QQ(0)] * len(self.group)
-        for w, coeff in c.coeffs.items():
-            v[w.idx] = coeff
-        return v
-
     def _solve_expressions(self) -> list[tuple[tuple[int, int, Fraction], ...]]:
         """Per element u (by index), terms (i, u'.idx, c) with
         sigma_u = sum c . sigma_{s_i} . sigma_{u'} and l(u') = l(u) - 1;
@@ -185,9 +184,9 @@ class CohRing:
                 for i in range(1, self.rootsystem.rank + 1):
                     product = self.chevalley_multiply(i, u_prime)
                     sources.append((i, u_prime.idx))
-                    span.add(self._class_vector(product))
+                    span.add(_row(product))
             for u in by_length[k]:
-                combo = span.coefficients(self._class_vector(CohClass.basis(u)))
+                combo = span.coefficients(_row(CohClass.basis(u)))
                 if combo is None:
                     raise InternalConsistencyError(
                         f"sigma_{u} not spanned by generator products in degree {k}"
@@ -234,9 +233,9 @@ class CohRing:
                 raise InternalConsistencyError("invariant basis is not half the group")
             span = RowSpan(n, track=True)
             for w in inv:
-                span.add(self._class_vector(CohClass.basis(w)))
+                span.add(_row(CohClass.basis(w)))
             for w in inv:
-                span.add(self._class_vector(self.chevalley_multiply(i, w)))
+                span.add(_row(self.chevalley_multiply(i, w)))
             if span.rank != n:  # pragma: no cover - internal self-check
                 raise InternalConsistencyError(
                     f"sigma_{i} C^s + C^s does not span C for i={i}"
@@ -251,7 +250,7 @@ class CohRing:
     def split(self, i: int, c: CohClass) -> tuple[CohClass, CohClass]:
         """Unique x, y with c = x + sigma_{s_i} y and x, y in C^{s_i}."""
         inv = self._invariant[i - 1]
-        combo = self._split_spans[i - 1].coefficients(self._class_vector(c))
+        combo = self._split_spans[i - 1].coefficients(_row(c))
         if combo is None:  # pragma: no cover - internal self-check
             raise InternalConsistencyError("split solve failed on a full basis")
         m = len(inv)

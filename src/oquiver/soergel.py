@@ -30,7 +30,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .linalg import QMatrix, RowSpan, canonical_basis, nullspace_of_rows
+from .linalg import QMatrix, Row, RowSpan, canonical_basis, nullspace_of_rows
 from .rootsystem import WeylElement, WeylGroup
 from .schubert import CohClass, CohRing, InternalConsistencyError
 
@@ -86,6 +86,11 @@ def class_matrix(actions: Sequence[QMatrix], c: CohClass, dim: int) -> QMatrix:
     return out
 
 
+#: the 2x2 matrix units E_ab, which place a block at rows 2m + a, columns 2k + b
+_UNIT = [[QMatrix([[1, 0], [0, 0]]), QMatrix([[0, 1], [0, 0]])],
+         [QMatrix([[0, 0], [1, 0]]), QMatrix([[0, 0], [0, 1]])]]
+
+
 def trivial_module(ring: CohRing) -> GradedModule:
     """V_e: one dimension in degree 0; every sigma_v with v != e acts by 0."""
     gens = [QMatrix.zeros(1, 1) for _ in range(ring.rootsystem.rank)]
@@ -108,20 +113,12 @@ def extend(ring: CohRing, i: int, module: GradedModule) -> GradedModule:
     for j in range(1, ring.rootsystem.rank + 1):
         x1, y1 = ring.split(i, CohClass.basis(g.simple(j)))
         x2, y2 = ring.split(i, ring.chevalley_multiply(j, si))
-        x1m, y1m = (class_matrix(low, c, module.dim) for c in (x1, y1))
-        x2m, y2m = (class_matrix(low, c, module.dim) for c in (x2, y2))
-        rows = [[QQ(0)] * dim for _ in range(dim)]
-        for m in range(module.dim):
-            for k in range(module.dim):
-                if x1m.data[m][k]:
-                    rows[2 * m][2 * k] = x1m.data[m][k]
-                if y1m.data[m][k]:
-                    rows[2 * m + 1][2 * k] = y1m.data[m][k]
-                if x2m.data[m][k]:
-                    rows[2 * m][2 * k + 1] = x2m.data[m][k]
-                if y2m.data[m][k]:
-                    rows[2 * m + 1][2 * k + 1] = y2m.data[m][k]
-        gens.append(QMatrix(rows, cols=dim))
+        x1m, y1m, x2m, y2m = (class_matrix(low, c, module.dim) for c in (x1, y1, x2, y2))
+        # entry (2m + a, 2k + b) of the action is entry (m, k) of block (a, b)
+        gens.append(
+            x1m.kron(_UNIT[0][0]) + x2m.kron(_UNIT[0][1])
+            + y1m.kron(_UNIT[1][0]) + y2m.kron(_UNIT[1][1])
+        )
     return GradedModule(dim, degrees, gens, provenance=f"extend({i}, {module.provenance})")
 
 
@@ -149,40 +146,33 @@ def graded_hom_basis(source: GradedModule, target: GradedModule, degree: int) ->
     if not positions:
         return []
     nvars = len(positions)
-
-    rows: list[list[Fraction]] = []
+    # one Row over the unknowns per entry (p, q) of a_target X - X a_source
+    rows: list[Row] = []
     for a_target, a_source in zip(target.gens, source.gens):
-        constraint: dict[tuple[int, int], dict[int, Fraction]] = {}
+        target_cols = a_target.transpose().data
+        constraint: dict[tuple[int, int], Row] = {}
         for k, (m, q) in enumerate(positions):
-            col = q
-            for p in range(target.dim):
-                a = a_target.data[p][m]
-                if a:
-                    cell = constraint.setdefault((p, col), {})
-                    cell[k] = cell.get(k, QQ(0)) + a
+            for p, a in target_cols[m].items():
+                cell = constraint.setdefault((p, q), {})
+                cell[k] = cell.get(k, QQ(0)) + a
         for k, (p, m) in enumerate(positions):
-            row_s = a_source.data[m]
-            for q in range(source.dim):
-                a = row_s[q]
-                if a:
-                    cell = constraint.setdefault((p, q), {})
-                    cell[k] = cell.get(k, QQ(0)) - a
+            for q, a in a_source.data[m].items():
+                cell = constraint.setdefault((p, q), {})
+                cell[k] = cell.get(k, QQ(0)) - a
         for key in sorted(constraint):
             p, q = key
             # sanity: constraints live in the degree + 2 band
             assert target.degrees[p] == source.degrees[q] + degree + 2
-            sparse = constraint[key]
-            rows.append([sparse.get(k, QQ(0)) for k in range(nvars)])
+            rows.append(constraint[key])
 
     kernel = nullspace_of_rows(rows, nvars)
     out = []
     for vec in canonical_basis(kernel, nvars):
-        grid = [[QQ(0)] * source.dim for _ in range(target.dim)]
-        for k, value in enumerate(vec):
-            if value:
-                p, q = positions[k]
-                grid[p][q] = value
-        out.append(QMatrix(grid, cols=source.dim))
+        grid: list[Row] = [{} for _ in range(target.dim)]
+        for k, value in vec.items():
+            p, q = positions[k]
+            grid[p][q] = value
+        out.append(QMatrix.from_rows(grid, source.dim))
     return out
 
 
@@ -241,7 +231,7 @@ def extract_top(
     dim = module.dim
 
     # Step 1: locate the span of the lower summands via degree-0 maps.
-    lower_vectors: list[tuple[Fraction, ...]] = []
+    lower_vectors: list[Row] = []
     multiplicities: dict[int, int] = {}
     for y in g.elements:
         if y.length >= w.length or (y.length - w.length) % 2 != 0:
@@ -276,16 +266,16 @@ def extract_top(
         return untouched, {}
 
     # Step 2: grow a complement basis from cyclic orbits of leftover vectors.
-    chosen: list[tuple[Fraction, ...]] = []
+    chosen: list[Row] = []
     for x_idx in range(dim):
         if span.rank == dim:
             break
-        unit = tuple(QQ(1) if k == x_idx else QQ(0) for k in range(dim))
-        if span.contains(unit):
+        if span.contains({x_idx: QQ(1)}):
             continue
-        for image in derived_actions(ring, module.gens, QMatrix([[x] for x in unit])):
+        unit = QMatrix.from_rows([{0: QQ(1)} if k == x_idx else {} for k in range(dim)], 1)
+        for image in derived_actions(ring, module.gens, unit):
             vec = image.col(0)
-            if any(vec) and span.add(vec):
+            if vec and span.add(vec):
                 chosen.append(vec)
     if span.rank != dim:  # pragma: no cover - internal self-check
         raise InternalConsistencyError("orbit sweep failed to span the cover")
@@ -299,14 +289,14 @@ def extract_top(
 
     degrees = []
     for vec in chosen:
-        degs = {module.degrees[k] for k, value in enumerate(vec) if value}
+        degs = {module.degrees[k] for k in vec}
         if len(degs) != 1:  # pragma: no cover - internal self-check
             raise InternalConsistencyError("chosen basis vector is not homogeneous")
         degrees.append(degs.pop())
 
     gens = []
     for mat in module.gens:
-        rows = [[QQ(0)] * new_dim for _ in range(new_dim)]
+        rows: list[Row] = [{} for _ in range(new_dim)]
         for j, cvec in enumerate(chosen):
             image = mat.matvec(cvec)
             combo = solver.coefficients(image)
@@ -315,7 +305,7 @@ def extract_top(
             for src, coeff in combo.items():
                 if src < new_dim:
                     rows[src][j] = coeff
-        gens.append(QMatrix(rows, cols=new_dim))
+        gens.append(QMatrix.from_rows(rows, new_dim))
 
     quotient = GradedModule(
         new_dim, degrees, gens, provenance=f"{module.provenance} / lower terms"

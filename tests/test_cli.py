@@ -1,9 +1,14 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oquiver import cache
 from oquiver.cli import main
@@ -262,3 +267,86 @@ def test_unwritable_cache_dir_is_domain_error(tmp_path, capsys):
     )
     assert code == 1
     assert "error:" in err
+
+
+A1_SYSTEM = {"type": "A", "rank": 1}
+
+
+def _a1_doc(**changes):
+    """The README's A1 document with top-level keys replaced (None drops a key)."""
+    doc = {
+        "system": A1_SYSTEM,
+        "stalks": {"e": 1, "1": 1},
+        "boundary": [{"from": "1", "to": "e", "k": 0, "matrix": [["1"]]}],
+    }
+    doc.update(changes)
+    return {k: v for k, v in doc.items() if v is not None}
+
+
+def _a1_entry(**changes):
+    return [{"from": "1", "to": "e", "k": 0, "matrix": [["1"]], **changes}]
+
+
+@pytest.mark.parametrize(
+    "doc,fragment",
+    [
+        (_a1_doc(stalks=None), "no stalks"),
+        (_a1_doc(boundary=_a1_entry(k="x")), "k is 'x'"),
+        (_a1_doc(boundary=_a1_entry(matrix=[["abc"]])), "abc"),
+        (_a1_doc(boundary=_a1_entry(matrix=[["1/0"]])), "bad matrix entry"),
+        ([1, 2], "not a JSON object"),
+        (_a1_doc(system="A1"), "system is not an object"),
+        (_a1_doc(stalks={"e": -1, "1": -1}), "not a nonnegative integer"),
+        (_a1_doc(stalks={"e": 1.5, "1": 1}), "not a nonnegative integer"),
+        (_a1_doc(boundary=_a1_entry(matrix="1")), "not a list of rows"),
+    ],
+    ids=["no-stalks", "k-text", "entry-abc", "entry-1/0", "list", "system-text",
+         "stalk-negative", "stalk-float", "matrix-text"],
+)
+def test_malformed_icmodule_document_is_one_error_line(doc, fragment, tmp_path, capsys):
+    file = tmp_path / "doc.json"
+    file.write_text(json.dumps(doc))
+    code, out, err = run_cli("icmod", "cohomology", str(file), "--no-cache", capsys=capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert fragment in err
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+element_strings = st.sampled_from(["e", "1", "2", "1.1", "x", ""]) | st.text(max_size=3)
+elements = element_strings | json_values
+entries = st.sampled_from(["1", "0", "-1/2", "abc", "1/0"]) | json_values
+boundary_entries = st.fixed_dictionaries(
+    {},
+    optional={
+        "from": elements,
+        "to": elements,
+        "k": st.integers(-1, 2) | json_values,
+        "matrix": st.lists(st.lists(entries, max_size=2), max_size=2) | json_values,
+    },
+) | json_values
+documents = st.fixed_dictionaries(
+    {"system": st.just(A1_SYSTEM)},
+    optional={
+        "stalks": st.dictionaries(element_strings, st.integers(-1, 2) | json_values, max_size=3)
+        | json_values,
+        "boundary": st.lists(boundary_entries, max_size=3) | json_values,
+    },
+) | json_values
+
+
+@settings(max_examples=150, deadline=None)
+@given(documents, st.sampled_from(["validate", "cohomology", "dual"]))
+def test_any_json_icmodule_document_exits_0_or_1(doc, command):
+    with tempfile.TemporaryDirectory() as tmp:
+        file = Path(tmp) / "doc.json"
+        file.write_text(json.dumps(doc))
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(["icmod", command, str(file), "--no-cache"])
+    assert code in (0, 1)

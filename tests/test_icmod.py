@@ -30,7 +30,7 @@ from oquiver.icmod import (
 from oquiver.linalg import QMatrix
 from oquiver.quiver import build_quiver
 from oquiver.rootsystem import build, generate_weyl
-from oquiver.schubert import build_ring
+from oquiver.schubert import InternalConsistencyError, build_ring
 from oquiver.soergel import build_all
 
 F = Fraction
@@ -230,3 +230,12 @@ def test_boundary_absent_between_nonincident(a2q):
         rep = generic_rep(a2q, rng)
         for (y, w, _k) in rep.arrow_maps:
             assert (y, w) in a2q.hom1
+
+
+def test_invert_detects_singular_matrices():
+    for singular in (QMatrix.zeros(2, 2), QMatrix([[1, 1], [1, 1]]), QMatrix([[1, 2]])):
+        with pytest.raises(InternalConsistencyError, match="singular"):
+            icmod._invert(singular)
+    m = QMatrix([[2, 1], [1, 1]])
+    assert icmod._invert(m) == QMatrix([[1, -1], [-1, 2]])
+    assert icmod._invert(m) * m == QMatrix.identity(2)

@@ -58,40 +58,41 @@ def test_nullspace_invertible_empty():
 def test_nullspace_zero_matrix():
     basis = nullspace(QMatrix.zeros(2, 3))
     assert len(basis) == 3
-    assert basis[0] == (1, 0, 0)
+    assert basis[0] == {0: 1}
 
 
 def test_in_span_scaled():
-    ok, coeffs = in_span((2, 2), [(1, 1)])
-    assert ok and coeffs == [2]
+    ok, coeffs = in_span({0: F(2), 1: F(2)}, [{0: F(1), 1: F(1)}], 2)
+    assert ok and coeffs == {0: 2}
 
 
 def test_in_span_failure():
-    ok, coeffs = in_span((1, 0), [(0, 1)])
+    ok, coeffs = in_span({0: F(1)}, [{1: F(1)}], 2)
     assert not ok and coeffs is None
 
 
 def test_in_span_zero_vector():
-    ok, coeffs = in_span((0, 0), [(1, 2), (3, 4)])
-    assert ok and coeffs == [0, 0]
+    ok, coeffs = in_span({}, [{0: F(1), 1: F(2)}, {0: F(3), 1: F(4)}], 2)
+    assert ok and coeffs == {}
 
 
 def test_in_span_dimension_mismatch():
+    # a target with an entry in column 2 against basis vectors of width 2
     with pytest.raises(DimensionMismatch):
-        in_span((1, 0, 0), [(0, 1)])
+        in_span({2: F(1)}, [{1: F(1)}], 2)
 
 
 def test_solve_identity():
-    x = solve(QMatrix.identity(3), (5, F(1, 2), -2))
-    assert x == (5, F(1, 2), -2)
+    x = solve(QMatrix.identity(3), {0: F(5), 1: F(1, 2), 2: F(-2)})
+    assert x == {0: 5, 1: F(1, 2), 2: -2}
 
 
 def test_solve_free_variable_zero():
-    assert solve(QMatrix([[1, 1]]), (3,)) == (3, 0)
+    assert solve(QMatrix([[1, 1]]), {0: F(3)}) == {0: 3}
 
 
 def test_solve_inconsistent():
-    assert solve(QMatrix([[1], [1]]), (1, 2)) is None
+    assert solve(QMatrix([[1], [1]]), {0: F(1), 1: F(2)}) is None
 
 
 def test_matmul_and_kron():
@@ -143,7 +144,7 @@ def test_nullspace_vectors_annihilate(rows):
     basis = nullspace(m)
     assert len(basis) == m.cols - rank(m)
     for v in basis:
-        assert all(x == 0 for x in m.matvec(v))
+        assert m.matvec(v) == {}
     # each returned vector already lies in the span of the returned basis
     kernel_rref = canonical_basis(basis, m.cols)
     assert len(kernel_rref) == len(basis)
@@ -157,8 +158,47 @@ def test_nullspace_vectors_annihilate(rows):
 @given(small_matrix, st.lists(small_entries, min_size=1, max_size=4))
 def test_solve_exact_when_defined(rows, xs):
     m = QMatrix(rows)
-    x = (xs * m.cols)[: m.cols]
+    x = {j: v for j, v in enumerate((xs * m.cols)[: m.cols]) if v}
     b = m.matvec(x)
     got = solve(m, b)
     assert got is not None
     assert m.matvec(got) == b
+
+
+def _dense_product(a, b):
+    return [[sum((x * b[k][j] for k, x in enumerate(row)), F(0)) for j in range(len(b[0]))] for row in a]
+
+
+def _dense_kron(a, b):
+    return [[x * y for x in ra for y in rb] for ra in a for rb in b]
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_matrix, small_matrix, small_entries, st.lists(small_entries, min_size=4, max_size=4))
+def test_sparse_operations_match_dense_reference(rows, other_rows, c, xs):
+    m, other = QMatrix(rows), QMatrix(other_rows)
+    a, b = m.dense(), other.dense()
+    assert a == [list(r) for r in rows]
+    results = [m.scale(c), m.scale(0), m.transpose(), m.kron(other), m + m, m * m.transpose(),
+               m + m.scale(-1)]
+    assert results[0].dense() == [[c * x for x in r] for r in a]
+    assert results[1] == results[6] == QMatrix.zeros(m.rows, m.cols)
+    assert results[2].dense() == [list(col) for col in zip(*a)]
+    assert results[3].dense() == _dense_kron(a, b)
+    assert results[4].dense() == [[x + x for x in r] for r in a]
+    assert results[5].dense() == _dense_product(a, [list(col) for col in zip(*a)])
+    if m.rows == other.rows and m.cols == other.cols:
+        results.append(m + other)
+        assert results[-1].dense() == [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    if m.cols == other.rows:
+        results.append(m * other)
+        assert results[-1].dense() == _dense_product(a, b)
+    x = xs[: m.cols]
+    assert m.matvec({j: v for j, v in enumerate(x) if v}) == {
+        i: s for i, s in enumerate(sum((u * v for u, v in zip(r, x)), F(0)) for r in a) if s
+    }
+    for j in range(m.cols):
+        assert m.col(j) == {i: r[j] for i, r in enumerate(a) if r[j]}
+    # no stored zeros, which is what makes equality of the data meaningful
+    for result in [m, other, *results]:
+        assert all(v != 0 for row in result.data for v in row.values())
