@@ -142,7 +142,7 @@ def load(path: Path, group: WeylGroup, warn: Callable[[str], None]) -> tuple[Coh
         envelope = json.loads(path.read_text(encoding="utf-8"))
     except FileNotFoundError:
         return None
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         warn(f"cache {path.name} unreadable ({exc}); recomputing")
         return None
     if not isinstance(envelope, dict):

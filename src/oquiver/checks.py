@@ -336,4 +336,5 @@ def run_suite(q: Quiver, suite: str, seed: int) -> list[tuple[str, str | None]]:
             results.append((name, None))
         except CheckFailure as exc:
             results.append((name, str(exc)))
+        family.release()  # the Hom solve data a check left on the modules
     return results

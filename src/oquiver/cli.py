@@ -41,7 +41,8 @@ DOMAIN_ERRORS = (
     icmod_ops.ShapeError,
     icmod_ops.InvalidModule,
     cache_mod.CacheUnusable,
-    FileNotFoundError,
+    OSError,  # an input file that is missing, a directory or unreadable
+    UnicodeDecodeError,
     json.JSONDecodeError,
 )
 

@@ -2,8 +2,8 @@
 Graded Hom spaces between the intersection cohomology modules.
 
 Hom^d(V_y, V_w) is the space of degree-d linear maps commuting with the
-ring action; commuting with the degree-one generators is enough since they
-generate.
+ring action, solved through a presentation of V_y
+(`soergel.graded_hom_basis`).
 The canonical basis (RREF over the degree-band matrix entries, row-major)
 is the declared arrow basis of the quiver: any other basis differs from it
 by an invertible linear substitution, so nothing downstream depends on the
@@ -35,7 +35,7 @@ class HomBasis:
 
 def hom_basis(family: ModuleFamily, y: WeylElement, w: WeylElement, degree: int) -> HomBasis:
     """Canonical basis of Hom^degree(V_y, V_w)."""
-    maps = graded_hom_basis(family[y], family[w], degree)
+    maps = graded_hom_basis(family.ring, family[y], family[w], degree)
     return HomBasis(y, w, degree, tuple(maps))
 
 

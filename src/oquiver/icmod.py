@@ -255,7 +255,8 @@ def _duality_isos(q: Quiver) -> list[QMatrix]:
     isos = []
     for w in q.group.elements:
         module = q.family.modules[w.idx]
-        maps = graded_hom_basis(module, _dual_module(module), 0)
+        maps = graded_hom_basis(q.family.ring, module, _dual_module(module), 0)
+        module.release()
         if len(maps) != 1 or rank(maps[0]) != module.dim:
             raise InternalConsistencyError(  # pragma: no cover - internal self-check
                 f"self-duality pairing of V[{w}] is not unique and invertible"

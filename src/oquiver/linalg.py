@@ -1,7 +1,7 @@
 """
 Exact linear algebra over arbitrary-precision rationals.
 
-Every solve in the pipeline (module extraction, commutant bases, relator
+Every solve in the pipeline (module extraction, Hom bases, relator
 spaces) runs through this module.  There is no floating point anywhere:
 ranks decide dimensions downstream, and a rank decision corrupted by
 rounding would silently change arrow or relator counts.
@@ -222,13 +222,19 @@ class RowSpan:
 
     def add(self, vector: Row) -> bool:
         """Insert a vector; returns True if it enlarged the span."""
+        return self.insert(vector) is None
+
+    def insert(self, vector: Row) -> Row | None:
+        """Like :meth:`add`, but returns None when the vector enlarged the
+        span, and otherwise its expression over the earlier vectors (empty
+        without ``track=True``)."""
         vec = self._vector(vector)
         g = self.ngens
         self.ngens += 1
         combo: Row | None = {} if self.track else None
         vec, combo = self._reduce(vec, combo)
         if not vec:
-            return False
+            return combo if self.track else {}
         pivot = min(vec)
         lead = vec[pivot]
         row = {j: v / lead for j, v in vec.items()}
@@ -246,7 +252,7 @@ class RowSpan:
         self._rows[pivot] = row
         if self.track:
             self._combos[pivot] = newcombo
-        return True
+        return None
 
     def residual(self, vector: Row) -> Row:
         vec, _ = self._reduce(self._vector(vector), None)

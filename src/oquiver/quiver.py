@@ -78,9 +78,16 @@ class Quiver:
         self.hom1: dict[tuple[int, int], tuple[QMatrix, ...]] = {}
         self.arrows: list[Arrow] = []
         g = self.group
+        # target-major, so the action matrices of one target are alive at a time
+        solved: dict[tuple[int, int], tuple[QMatrix, ...]] = {}
+        for w in g.elements:
+            for y in g.elements:
+                solved[(y.idx, w.idx)] = hom_basis(family, y, w, 1).basis
+            family[w].release(keep_presentation=True)
+        family.release()
         for y in g.elements:
             for w in g.elements:
-                basis = hom_basis(family, y, w, 1).basis
+                basis = solved[(y.idx, w.idx)]
                 if basis:
                     self.hom1[(y.idx, w.idx)] = basis
                     for k, m in enumerate(basis):

@@ -18,8 +18,14 @@ sigma_{s_j} . (a (x) m) = 1 (x) (x . m) + sigma_i (x) (y . m).
 Iterating over a word gives the 2^l-dimensional tensor word module.  V_w is
 then extracted from a word module for w (or, in shortcut mode, from
 extend(i, V_{w s_i})): the copies of shorter V_y inside are located via
-degree-0 commutant maps, and a homogeneous basis of the quotient is grown
+degree-0 module maps, and a homogeneous basis of the quotient is grown
 from cyclic orbits of leftover basis vectors.
+
+Every Hom space is solved through a presentation of the source: a module
+map is fixed by the images of the 1-3 generators of the source, subject to
+its relations, so the unknowns are those images rather than every matrix
+entry of the degree band.  A stage keeps the presentations and the action
+matrices it needs on the modules and drops them with `release` when done.
 
 Degrees are symmetric around 0: V_w lives in [-l(w), l(w)] with parity
 l(w) mod 2, and sigma_v shifts degree by +2 l(v).
@@ -27,6 +33,7 @@ l(w) mod 2, and sigma_v shifts degree by +2 l(v).
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -41,19 +48,37 @@ class GradedModule:
     """A graded module over the cohomology ring, stored as one action matrix
     per rank generator sigma_{s_1}, ..., sigma_{s_r}."""
 
-    __slots__ = ("dim", "degrees", "gens", "provenance")
+    __slots__ = ("dim", "degrees", "gens", "provenance", "_presentation", "_columns")
 
     def __init__(self, dim: int, degrees: Sequence[int], gens: Sequence[QMatrix], provenance: str = ""):
         self.dim = dim
         self.degrees = tuple(degrees)
         self.gens = list(gens)
         self.provenance = provenance
+        # data derived for Hom solves; never refers back to the module
+        self._presentation: Presentation | None = None
+        self._columns: list[tuple[Row, ...]] | None = None
+
+    def release(self, keep_presentation: bool = False) -> None:
+        """Drop the data derived for Hom solves, at the end of a stage."""
+        self._columns = None
+        if not keep_presentation:
+            self._presentation = None
 
     def graded_dims(self) -> dict[int, int]:
         out: dict[int, int] = {}
         for d in self.degrees:
             out[d] = out.get(d, 0) + 1
         return dict(sorted(out.items()))
+
+
+def _common_denominator(values: Iterable[Fraction]) -> int:
+    return math.lcm(1, *{v.denominator for v in values})
+
+
+def _scaled(rows: Iterable[Row], d: int) -> list[dict[int, int]]:
+    """d times each Row, as integers; d must clear every denominator."""
+    return [{j: v.numerator * (d // v.denominator) for j, v in row.items()} for row in rows]
 
 
 def derived_actions(
@@ -65,16 +90,36 @@ def derived_actions(
 
     With `start` the identity these are the action matrices of the classes;
     with a single column they are that vector's orbit.
+
+    The recursion runs over the integers.  With d_s, d_c and d_g clearing
+    the denominators of `start`, of the expression coefficients and of the
+    generator matrices, S_u = d_s (d_c d_g)^l(u) sigma_u . start is integral
+    and S_u = sum (d_c c) (d_g sigma_{s_i}) S_{u'}.
     """
+    elements = [u for u in ring.group.elements if top is None or u.length <= top]
+    terms = [ring.expressions[u.idx] for u in elements]
+    d_start = _common_denominator(v for row in start.data for v in row.values())
+    d_coeff = _common_denominator(c for expr in terms for _, _, c in expr)
+    d_gen = _common_denominator(v for a in gens for row in a.data for v in row.values())
+    int_gens = [_scaled(a.data, d_gen) for a in gens]
+    scaled = [_scaled(start.data, d_start)]
     out = [start]
-    for u in ring.group.elements[1:]:
-        if top is not None and u.length > top:
-            break
-        acc = None
-        for i, up_idx, coeff in ring.expressions[u.idx]:
-            term = (gens[i - 1] * out[up_idx]).scale(coeff)
-            acc = term if acc is None else acc + term
-        out.append(acc)
+    for u, expr in zip(elements[1:], terms[1:]):
+        acc: list[dict[int, int]] = [{} for _ in range(start.rows)]
+        for i, up_idx, coeff in expr:
+            c = coeff.numerator * (d_coeff // coeff.denominator)
+            right = scaled[up_idx]
+            for row, target in zip(int_gens[i - 1], acc):
+                for k, a in row.items():
+                    ca = c * a
+                    for j, b in right[k].items():
+                        target[j] = target.get(j, 0) + ca * b
+        acc = [{j: v for j, v in row.items() if v} for row in acc]
+        scaled.append(acc)
+        denominator = d_start * (d_coeff * d_gen) ** u.length
+        out.append(QMatrix.from_rows(
+            ({j: QQ(v, denominator) for j, v in row.items()} for row in acc), start.cols
+        ))
     return out
 
 
@@ -130,44 +175,158 @@ def word_module(ring: CohRing, word: Iterable[int]) -> GradedModule:
     return module
 
 
-def graded_hom_basis(source: GradedModule, target: GradedModule, degree: int) -> list[QMatrix]:
-    """Basis of degree-`degree` maps commuting with the generator actions,
-    hence with every class, since the ring is generated in degree one.
+class Presentation:
+    """Generators and relations of a graded module over the ring.
+
+    The generators g_k are the unit basis vectors outside sum_i sigma_{s_i}
+    M, which generate M by Nakayama; `gen_degrees` holds their degrees.
+    The orbit vectors sigma_v g_k are kept up to one length past the top
+    degree, so the first vanishing level is present: a deeper sigma_v is a
+    combination of sigma_{s_i} sigma_{u'} with sigma_{u'} g_k already zero.
+    `relations` are the linear dependencies among the orbit vectors (a zero
+    orbit vector is the relation sigma_v g_k = 0), each with its degree,
+    and `expressions` writes every basis vector of M over the orbit
+    vectors.  Relations and expressions are Rows over orbit indices;
+    `orbit[j]` is (v.idx, k).
+    """
+
+    __slots__ = ("gen_degrees", "orbit", "relations", "expressions")
+
+    def __init__(self, ring: CohRing, module: GradedModule):
+        dim = module.dim
+        image = RowSpan(dim)
+        for a in module.gens:
+            for column in a.transpose().data:
+                image.add(column)
+        generators = [q for q in range(dim) if image.add({q: QQ(1)})]
+        self.gen_degrees = tuple(module.degrees[q] for q in generators)
+
+        top = max(module.degrees)
+        elements = ring.group.elements
+        self.orbit: list[tuple[int, int]] = []
+        self.relations: list[tuple[int, Row]] = []
+        span = RowSpan(dim, track=True)  # fed every orbit vector, so gen index = orbit index
+        for k, q in enumerate(generators):
+            unit = QMatrix.from_rows([{0: QQ(1)} if n == q else {} for n in range(dim)], 1)
+            level = (top - module.degrees[q]) // 2 + 1
+            for v, image_v in zip(elements, derived_actions(ring, module.gens, unit, top=level)):
+                j = len(self.orbit)
+                self.orbit.append((v.idx, k))
+                combo = span.insert(image_v.col(0))
+                if combo is not None:
+                    relation = {n: -c for n, c in combo.items()}
+                    relation[j] = QQ(1)
+                    self.relations.append((module.degrees[q] + 2 * v.length, relation))
+
+        self.expressions: list[Row] = []
+        for q in range(dim):
+            combo = span.coefficients({q: QQ(1)})
+            if combo is None:  # pragma: no cover - internal self-check
+                raise InternalConsistencyError("the generators do not span the module")
+            self.expressions.append(combo)
+
+
+def presentation(ring: CohRing, module: GradedModule) -> Presentation:
+    """The module's presentation, computed once and kept until `release`."""
+    if module._presentation is None:
+        module._presentation = Presentation(ring, module)
+    return module._presentation
+
+
+def _action_columns(ring: CohRing, module: GradedModule) -> list[tuple[Row, ...]]:
+    """The columns of sigma_v on the module for every v that can act nonzero
+    (2 l(v) at most the degree span), kept until `release`."""
+    if module._columns is None:
+        span = (max(module.degrees) - min(module.degrees)) // 2
+        actions = derived_actions(ring, module.gens, QMatrix.identity(module.dim), top=span)
+        module._columns = [a.transpose().data for a in actions]
+    return module._columns
+
+
+def _act(columns: list[tuple[Row, ...]], v: int, vector: Row) -> Row:
+    """sigma_v (element index v) applied to a vector, from the action columns."""
+    out: Row = {}
+    if v < len(columns):
+        for m, y in vector.items():
+            for p, a in columns[v][m].items():
+                out[p] = out.get(p, QQ(0)) + y * a
+    return out
+
+
+def graded_hom_basis(
+    ring: CohRing, source: GradedModule, target: GradedModule, degree: int
+) -> list[QMatrix]:
+    """Basis of the degree-`degree` C-linear maps source -> target.
+
+    Such a map is fixed by the images f(g_k) of the generators of the
+    source's presentation, and it is well defined iff the images satisfy
+    every relation.  So the unknowns are the f(g_k), each in the target's
+    degree piece deg g_k + degree, and a relation sum c sigma_v g_k = 0
+    gives the constraints sum c sigma_v f(g_k) = 0.
 
     The result is canonical: the RREF basis of the solution space over the
     matrix entries in the degree band, ordered row-major.
     """
-    positions = [
-        (p, q)
-        for p in range(target.dim)
-        for q in range(source.dim)
-        if target.degrees[p] == source.degrees[q] + degree
-    ]
-    if not positions:
+    pres = presentation(ring, source)
+    columns = _action_columns(ring, target)
+    by_degree: dict[int, list[int]] = {}
+    for p, d in enumerate(target.degrees):
+        by_degree.setdefault(d, []).append(p)
+    # per generator, the pairs (target basis index m, unknown index)
+    unknowns: list[list[tuple[int, int]]] = []
+    nvars = 0
+    for d in pres.gen_degrees:
+        piece = by_degree.get(d + degree, [])
+        unknowns.append([(m, nvars + n) for n, m in enumerate(piece)])
+        nvars += len(piece)
+    if not nvars:
         return []
-    nvars = len(positions)
-    # one Row over the unknowns per entry (p, q) of a_target X - X a_source
+
     rows: list[Row] = []
-    for a_target, a_source in zip(target.gens, source.gens):
-        target_cols = a_target.transpose().data
-        constraint: dict[tuple[int, int], Row] = {}
-        for k, (m, q) in enumerate(positions):
-            for p, a in target_cols[m].items():
-                cell = constraint.setdefault((p, q), {})
-                cell[k] = cell.get(k, QQ(0)) + a
-        for k, (p, m) in enumerate(positions):
-            for q, a in a_source.data[m].items():
-                cell = constraint.setdefault((p, q), {})
-                cell[k] = cell.get(k, QQ(0)) - a
-        for key in sorted(constraint):
-            p, q = key
-            # sanity: constraints live in the degree + 2 band
-            assert target.degrees[p] == source.degrees[q] + degree + 2
-            rows.append(constraint[key])
+    for rel_degree, relation in pres.relations:
+        if rel_degree + degree not in by_degree:
+            continue  # the constraint lands in a zero piece of the target
+        constraint: dict[int, Row] = {}
+        for j, c in relation.items():
+            v, k = pres.orbit[j]
+            if v >= len(columns):
+                continue  # sigma_v acts by zero on the target
+            for m, u in unknowns[k]:
+                for p, a in columns[v][m].items():
+                    cell = constraint.setdefault(p, {})
+                    cell[u] = cell.get(u, QQ(0)) + c * a
+        rows.extend(constraint[p] for p in sorted(constraint))
 
     kernel = nullspace_of_rows(rows, nvars)
+    if not kernel:
+        return []
+
+    # flatten each solution over the matrix entries (p, q) of the degree band
+    src_by_degree: dict[int, list[int]] = {}
+    for q, d in enumerate(source.degrees):
+        src_by_degree.setdefault(d, []).append(q)
+    positions = [
+        (p, q) for p in range(target.dim) for q in src_by_degree.get(target.degrees[p] - degree, [])
+    ]
+    index = {pq: n for n, pq in enumerate(positions)}
+    flats = []
+    for vec in kernel:
+        gen_images = [{m: vec[u] for m, u in piece if u in vec} for piece in unknowns]
+        orbit_images: dict[int, Row] = {}  # orbit index j -> sigma_v f(g_k)
+        flat: Row = {}
+        for q, expression in enumerate(pres.expressions):
+            col: Row = {}
+            for j, b in expression.items():
+                if j not in orbit_images:
+                    v, k = pres.orbit[j]
+                    orbit_images[j] = _act(columns, v, gen_images[k])
+                for p, a in orbit_images[j].items():
+                    col[p] = col.get(p, QQ(0)) + b * a
+            flat.update((index[(p, q)], a) for p, a in col.items() if a)
+        flats.append(flat)
+
     out = []
-    for vec in canonical_basis(kernel, nvars):
+    for vec in canonical_basis(flats, len(positions)):
         grid: list[Row] = [{} for _ in range(target.dim)]
         for k, value in vec.items():
             p, q = positions[k]
@@ -178,7 +337,7 @@ def graded_hom_basis(source: GradedModule, target: GradedModule, degree: int) ->
 
 def hom_degree0(ring: CohRing, source: GradedModule, target: GradedModule) -> list[QMatrix]:
     """Degree-0 maps commuting with the generator actions."""
-    return graded_hom_basis(source, target, 0)
+    return graded_hom_basis(ring, source, target, 0)
 
 
 class CoverNotSeparable(InternalConsistencyError):
@@ -213,6 +372,10 @@ class ModuleFamily:
 
     def graded_dims(self, w: WeylElement) -> dict[int, int]:
         return self.modules[w.idx].graded_dims()
+
+    def release(self) -> None:
+        for module in self.modules.values():
+            module.release()
 
 
 def extract_top(
@@ -263,6 +426,7 @@ def extract_top(
             raise CoverNotSeparable(
                 f"cover of {w} has no visible lower summands yet is decomposable"
             )
+        untouched.release(keep_presentation=True)
         return untouched, {}
 
     # Step 2: grow a complement basis from cyclic orbits of leftover vectors.
@@ -315,6 +479,7 @@ def extract_top(
             f"extracted module for {w} is decomposable; the cover hid "
             "grading-shifted lower summands from the degree-0 solves"
         )
+    quotient.release(keep_presentation=True)  # later covers need it as a source
     return quotient, multiplicities
 
 
@@ -340,4 +505,5 @@ def build_all(ring: CohRing, shortcut: bool = True) -> ModuleFamily:
         module.provenance = f"V[{w}] from {module.provenance}"
         family.modules[w.idx] = module
         family.multiplicities[w.idx] = mults
+    family.release()
     return family

@@ -229,9 +229,10 @@ def test_cold_warm_and_corrupt_cache(tmp_path):
     assert b"recomputing" in again.stderr
     assert again.stdout == cold.stdout
 
-    # valid JSON of the wrong shape: warn and recompute, never a traceback
-    for text in ("[1, 2]", json.dumps({"artifact_version": cache.ARTIFACT_VERSION, "payload": [1]})):
-        cache_file.write_text(text)
+    # not UTF-8, or valid JSON of the wrong shape: warn and recompute, never a traceback
+    wrong_payload = json.dumps({"artifact_version": cache.ARTIFACT_VERSION, "payload": [1]})
+    for blob in (b"garbage\xff", b"[1, 2]", wrong_payload.encode()):
+        cache_file.write_bytes(blob)
         again = run_proc(*args, env=env)
         assert again.returncode == 0
         assert b"recomputing" in again.stderr
@@ -311,6 +312,20 @@ def test_malformed_icmodule_document_is_one_error_line(doc, fragment, tmp_path, 
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert fragment in err
+
+
+@pytest.mark.parametrize("command", ["validate", "cohomology", "dual"])
+@pytest.mark.parametrize("kind", ["not-utf8", "directory"])
+def test_unreadable_icmodule_file_is_one_error_line(kind, command, tmp_path, capsys):
+    file = tmp_path / "doc.json"
+    if kind == "directory":
+        file.mkdir()
+    else:
+        file.write_bytes(bytes([0xFF, 0xFE, 0x7B]))
+    code, out, err = run_cli("icmod", command, str(file), "--no-cache", capsys=capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 json_values = st.recursive(

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from oquiver.linalg import (
     DimensionMismatch,
     QMatrix,
+    RowSpan,
     canonical_basis,
     format_rational,
     in_span,
@@ -80,6 +81,16 @@ def test_in_span_dimension_mismatch():
     # a target with an entry in column 2 against basis vectors of width 2
     with pytest.raises(DimensionMismatch):
         in_span({2: F(1)}, [{1: F(1)}], 2)
+
+
+def test_insert_returns_the_dependency():
+    # every vector fed to insert gets a generator index, dependent or not
+    span = RowSpan(2, track=True)
+    assert span.insert({0: F(1), 1: F(1)}) is None
+    assert span.insert({}) == {}
+    assert span.insert({1: F(2)}) is None
+    assert span.insert({0: F(3), 1: F(1)}) == {0: 3, 2: -1}
+    assert RowSpan(2).insert({}) == {}
 
 
 def test_solve_identity():
