@@ -1,7 +1,7 @@
 """Exact computation of the quiver with relations behind the regular block
 of BGG category O, with an intersection-cohomology module toolkit."""
 
-from .cache import Pipeline, build_pipeline, load_pipeline
+from .cache import Pipeline, load_pipeline
 from .homspace import HomBasis, arrow_count, hom_basis
 from .icmod import ICModule, QuiverRep, from_quiver_rep, total_cohomology, validate, verdier_dual
 from .kl import ih_poincare, kl_polynomial, mu

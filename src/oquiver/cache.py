@@ -4,11 +4,12 @@ module: degrees, generator matrices, multiplicities, provenance), plus the
 orchestration that builds or restores a complete pipeline for one root
 system.  The ring is cheap and is rebuilt from Chevalley's rule on restore.
 
-Cache files are content-addressed by (type, rank, mode, artifact version)
-in the file name, carry a sha256 checksum of the canonical payload, and are
-written atomically through a unique temporary file.  A stale version or a
-malformed or corrupted file is reported and silently recomputed; rationals
-restore exactly, so a warm run reproduces a cold run byte for byte.
+Cache files are content-addressed by (type, rank, artifact version) in
+the file name (`<type><rank>-v<version>.json`), carry a sha256 checksum of
+the canonical payload, and are written atomically through a unique
+temporary file.  A stale version or a malformed or corrupted file is
+reported and silently recomputed; rationals restore exactly, so a warm run
+reproduces a cold run byte for byte.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .rootsystem import WeylGroup, build, generate_weyl, parse_type
 from .schubert import CohRing
 from .soergel import GradedModule, ModuleFamily, build_all, derived_actions
 
-ARTIFACT_VERSION = 2
+ARTIFACT_VERSION = 3
 
 ENV_CACHE_DIR = "OQUIVER_CACHE"
 
@@ -44,8 +45,8 @@ def default_cache_dir() -> Path:
     return Path.home() / ".cache" / "oquiver"
 
 
-def cache_file(cache_dir: Path, name: str, mode: str) -> Path:
-    return cache_dir / f"{name.lower()}-{mode}-v{ARTIFACT_VERSION}.json"
+def cache_file(cache_dir: Path, name: str) -> Path:
+    return cache_dir / f"{name.lower()}-v{ARTIFACT_VERSION}.json"
 
 
 def _canonical(payload: dict) -> str:
@@ -81,7 +82,6 @@ def payload_of(family: ModuleFamily) -> dict:
         }
     return {
         "system": {"type": g.rootsystem.type_label, "rank": g.rootsystem.rank},
-        "mode": family.mode,
         "elements": [str(w) for w in g.elements],
         "modules": modules,
     }
@@ -93,7 +93,7 @@ def restore(group: WeylGroup, payload: dict) -> tuple[CohRing, ModuleFamily]:
         raise ValueError("cached element order does not match this build")
     lookup = {str(w): w for w in g.elements}
     ring = CohRing(group)
-    family = ModuleFamily(ring, payload["mode"])
+    family = ModuleFamily(ring)
     for w in g.elements:
         doc = payload["modules"][str(w)]
         if len(doc["gens"]) != g.rootsystem.rank:
@@ -117,7 +117,6 @@ def store(path: Path, family: ModuleFamily) -> None:
     envelope = {
         "artifact_version": ARTIFACT_VERSION,
         "system": payload["system"],
-        "mode": family.mode,
         "checksum": _checksum(payload),
         "payload": payload,
     }
@@ -181,36 +180,27 @@ class Pipeline:
         return self._quiver
 
 
-def build_pipeline(name: str, full: bool = False) -> Pipeline:
-    group = generate_weyl(build(*parse_type(name)))
-    ring = CohRing(group)
-    family = build_all(ring, shortcut=not full)
-    return Pipeline(group, ring, family)
-
-
 def load_pipeline(
     name: str,
-    full: bool = False,
     cache_dir: Path | None = None,
     no_cache: bool = False,
     warn: Callable[[str], None] = lambda s: None,
 ) -> Pipeline:
-    """Build the pipeline, restoring ring and family from cache when possible."""
+    """Build the pipeline, restoring ring and family from cache unless
+    `no_cache`, and storing a freshly built family."""
     label, rank = parse_type(name)
     group = generate_weyl(build(label, rank))
-    mode = "full" if full else "shortcut"
-    if no_cache:
-        ring = CohRing(group)
-        return Pipeline(group, ring, build_all(ring, shortcut=not full))
-    directory = cache_dir if cache_dir is not None else default_cache_dir()
-    path = cache_file(directory, f"{label}{rank}", mode)
-    restored = load(path, group, warn)
-    if restored is not None:
-        ring, family = restored
-        return Pipeline(group, ring, family)
+    path = None
+    if not no_cache:
+        directory = cache_dir if cache_dir is not None else default_cache_dir()
+        path = cache_file(directory, f"{label}{rank}")
+        restored = load(path, group, warn)
+        if restored is not None:
+            return Pipeline(group, *restored)
     ring = CohRing(group)
-    family = build_all(ring, shortcut=not full)
-    store(path, family)
+    family = build_all(ring)
+    if path is not None:
+        store(path, family)
     return Pipeline(group, ring, family)
 
 
@@ -223,7 +213,6 @@ def module_doc(pipeline: Pipeline, w) -> dict:
     return {
         "system": {"type": g.rootsystem.type_label, "rank": g.rootsystem.rank},
         "element": str(w),
-        "mode": pipeline.family.mode,
         "degrees": list(module.degrees),
         "action": {str(v): _matrix_doc(a) for v, a in zip(g.elements, actions)},
     }

@@ -60,15 +60,9 @@ def _add_cache_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--no-cache", action="store_true", help="recompute everything, touch no cache files")
 
 
-def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:
-    _add_cache_flags(parser)
-    parser.add_argument("--full", action="store_true", help="extract modules from full word modules instead of single extensions")
-
-
 def _pipeline(args) -> cache_mod.Pipeline:
     return cache_mod.load_pipeline(
         args.type,
-        full=args.full,
         cache_dir=args.cache_dir,
         no_cache=args.no_cache,
         warn=_warn,
@@ -153,6 +147,9 @@ def cmd_kl(args) -> int:
 
 
 def cmd_quiver(args) -> int:
+    if args.appendix_numbering and parse_type(args.type) != ("A", 2):
+        print("error: appendix numbering is only defined for A2", file=sys.stderr)
+        return 1
     pipeline = _pipeline(args)
     q = pipeline.quiver
     if args.format == "json":
@@ -239,14 +236,14 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ih", help="graded dimensions (or full dump) of one module")
     _add_type(p)
-    _add_pipeline_flags(p)
+    _add_cache_flags(p)
     p.add_argument("--element", required=True, help='element like "1.2.1" or "e"')
     p.add_argument("--dump", action="store_true", help="dump degrees and the action matrix of every class as JSON")
     p.set_defaults(fn=cmd_ih)
 
     p = sub.add_parser("hom", help="basis of a graded Hom space")
     _add_type(p)
-    _add_pipeline_flags(p)
+    _add_cache_flags(p)
     p.add_argument("--from", dest="source", required=True)
     p.add_argument("--to", dest="target", required=True)
     p.add_argument("--degree", type=int, default=1)
@@ -260,7 +257,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("quiver", help="the quiver with relations")
     _add_type(p)
-    _add_pipeline_flags(p)
+    _add_cache_flags(p)
     p.add_argument("--format", choices=("json", "dot", "text"), default="text")
     p.add_argument("--appendix-numbering", action="store_true", help="classical A2 vertex numbering (longest element = 1)")
     p.add_argument("--out", type=Path, default=None)
@@ -268,7 +265,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="run the invariant battery")
     _add_type(p)
-    _add_pipeline_flags(p)
+    _add_cache_flags(p)
     p.add_argument("--suite", choices=SUITES, default="all")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_check)

@@ -79,10 +79,6 @@ class CohClass:
     def coefficient(self, w: WeylElement) -> Fraction:
         return self.coeffs.get(w, QQ(0))
 
-    def is_homogeneous(self) -> bool:
-        degrees = {w.length for w in self.coeffs}
-        return len(degrees) <= 1
-
     def __str__(self) -> str:
         return class_str(self)
 

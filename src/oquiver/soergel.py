@@ -15,11 +15,11 @@ splitting sigma_{s_j} . a = x + sigma_i y with x, y invariant under s_i
 (a = 1 or sigma_i, so x and y have degree at most 2), giving
 sigma_{s_j} . (a (x) m) = 1 (x) (x . m) + sigma_i (x) (y . m).
 
-Iterating over a word gives the 2^l-dimensional tensor word module.  V_w is
-then extracted from a word module for w (or, in shortcut mode, from
-extend(i, V_{w s_i})): the copies of shorter V_y inside are located via
-degree-0 module maps, and a homogeneous basis of the quotient is grown
-from cyclic orbits of leftover basis vectors.
+V_w is extracted from the single-extension cover extend(i, V_{w s_i}): the
+copies of shorter V_y inside are located via degree-0 module maps, and a
+homogeneous basis of the quotient is grown from cyclic orbits of leftover
+basis vectors.  Iterating over a whole word gives the 2^l-dimensional
+tensor word module, which serves only as a rank-2 reference.
 
 Every Hom space is solved through a presentation of the source: a module
 map is fixed by the images of the 1-3 generators of the source, subject to
@@ -344,7 +344,7 @@ class CoverNotSeparable(InternalConsistencyError):
     """Degree-0 maps could not cleanly locate the lower summands of a cover.
 
     Covers built from a single extension decompose into unshifted lower
-    modules, so this never fires in shortcut mode.  Full word modules of
+    modules, so this never fires in `build_all`.  Full word modules of
     long elements, however, can contain grading-shifted copies of lower
     modules; degree-0 maps into those factor through positive-degree
     self-maps with kernels, which is exactly the dependence detected here.
@@ -354,9 +354,8 @@ class CoverNotSeparable(InternalConsistencyError):
 class ModuleFamily:
     """All V_w for one root system, keyed by element, built in length order."""
 
-    def __init__(self, ring: CohRing, mode: str):
+    def __init__(self, ring: CohRing):
         self.ring = ring
-        self.mode = mode
         self.modules: dict[int, GradedModule] = {}
         self.multiplicities: dict[int, dict[int, int]] = {}
 
@@ -483,24 +482,16 @@ def extract_top(
     return quotient, multiplicities
 
 
-def build_all(ring: CohRing, shortcut: bool = True) -> ModuleFamily:
-    """V_w for every w, ascending length.
-
-    Shortcut mode covers V_w by extend(i, V_{w s_i}) with i the last letter
-    of the canonical reduced word; full mode uses the whole 2^l word module
-    and serves as a consistency oracle.
-    """
+def build_all(ring: CohRing) -> ModuleFamily:
+    """V_w for every w, ascending length, each extracted from the cover
+    extend(i, V_{w s_i}) with i the last letter of the canonical reduced word."""
     g = ring.group
-    family = ModuleFamily(ring, mode="shortcut" if shortcut else "full")
+    family = ModuleFamily(ring)
     family.modules[0] = trivial_module(ring)
     family.multiplicities[0] = {}
     for w in g.elements[1:]:
-        if shortcut:
-            i = w.word[-1]
-            parent = g.right_mult(w, i)
-            cover = extend(ring, i, family.modules[parent.idx])
-        else:
-            cover = word_module(ring, w.word)
+        i = w.word[-1]
+        cover = extend(ring, i, family.modules[g.right_mult(w, i).idx])
         module, mults = extract_top(ring, cover, family.modules, w)
         module.provenance = f"V[{w}] from {module.provenance}"
         family.modules[w.idx] = module

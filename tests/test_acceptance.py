@@ -15,19 +15,19 @@ import pytest
 
 from golden_a2 import parse_appendix_relators
 
-from oquiver.cache import build_pipeline
-from oquiver.checks import check_prop36, check_verdier_involution
+from oquiver.cache import load_pipeline
+from oquiver.checks import check_prop36, check_verdier_involution, word_module_family
 from oquiver.homspace import hom_basis
 from oquiver.kl import ih_graded_dims, mu
 from oquiver.schubert import CohClass
-from oquiver.soergel import build_all, hom_degree0
+from oquiver.soergel import hom_degree0
 
 _PIPELINES = {}
 
 
 def pipeline(name):
     if name not in _PIPELINES:
-        _PIPELINES[name] = build_pipeline(name)
+        _PIPELINES[name] = load_pipeline(name, no_cache=True)
         _PIPELINES[name].quiver  # force arrows
     return _PIPELINES[name]
 
@@ -163,10 +163,10 @@ def test_criterion_7_structural_invariants():
     # shortcut vs full construction for A2 and B2
     for name in ("A2", "B2"):
         pp = pipeline(name)
-        full = build_all(pp.ring, shortcut=False)
+        full = word_module_family(pp.ring)
         for w in pp.group.elements:
-            assert pp.family.graded_dims(w) == full.graded_dims(w)
-            maps = hom_degree0(pp.ring, pp.family[w], full[w])
+            assert pp.family.graded_dims(w) == full[w.idx].graded_dims()
+            maps = hom_degree0(pp.ring, pp.family[w], full[w.idx])
             assert len(maps) == 1
     note("PASS 7: Hom^0 delta, arrow symmetry, parity vanishing, "
          "sum dim R = sum dim Hom^2 = 22, Verdier involution on 50 modules, "

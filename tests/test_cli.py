@@ -65,6 +65,7 @@ def test_ih_dump(capsys):
     )
     assert code == 0
     doc = json.loads(out)
+    assert set(doc) == {"system", "element", "degrees", "action"}
     assert doc["degrees"] == [-1, 1]
     assert doc["action"]["1"] == [["0", "0"], ["1", "0"]]
 
@@ -103,9 +104,7 @@ def test_quiver_json_round_trip(tmp_path, capsys):
     )
     assert code == 0
     doc = json.loads(out_file.read_text())
-    from oquiver.cache import build_pipeline
-
-    q = build_pipeline("A2").quiver
+    q = cache.load_pipeline("A2", no_cache=True).quiver
     assert q.verify_relator_space(parse_relations(q, doc))
 
 
@@ -129,8 +128,8 @@ def test_check_suite(capsys):
 
 
 def test_check_modules_suite_a3(capsys):
-    # the shortcut-vs-full comparison is gated to rank 2: full word modules
-    # cannot be separated from A3 on
+    # the comparison with the word-module reference is gated to rank 2:
+    # full word modules cannot be separated from A3 on
     code, out, _ = run_cli(
         "check", "--type", "A3", "--suite", "modules", "--no-cache", capsys=capsys
     )
@@ -158,18 +157,37 @@ def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as info:
         main(["quiver", "--type", "A2", "--format", "yaml"])
     assert info.value.code == 2
-    # --full selects how modules are built; IC-module documents take no such flag
-    with pytest.raises(SystemExit) as info:
-        main(["icmod", "validate", "module.json", "--full"])
-    assert info.value.code == 2
+    # modules are built one way only: no subcommand takes --full
+    for argv in (
+        ["quiver", "--type", "A2"],
+        ["ih", "--type", "A2", "--element", "e"],
+        ["hom", "--type", "A2", "--from", "e", "--to", "1"],
+        ["check", "--type", "A2"],
+        ["icmod", "validate", "module.json"],
+    ):
+        with pytest.raises(SystemExit) as info:
+            main([*argv, "--full", "--no-cache"])
+        assert info.value.code == 2, argv
+
+
+@pytest.mark.parametrize("name", ["A1", "B2"])
+def test_appendix_numbering_outside_a2_is_domain_error(name, tmp_path, capsys):
+    # rejected before the pipeline is built: no traceback, no cache file
+    code, out, err = run_cli(
+        "quiver", "--type", name, "--appendix-numbering",
+        "--cache-dir", str(tmp_path / "cache"), capsys=capsys,
+    )
+    assert code == 1
+    assert out == ""
+    assert err == "error: appendix numbering is only defined for A2\n"
+    assert not (tmp_path / "cache").exists()
 
 
 def test_icmod_commands(tmp_path, capsys):
-    from oquiver.cache import build_pipeline
     from oquiver.icmod import ICModule, icmodule_to_doc
     from oquiver.linalg import QMatrix
 
-    pipeline = build_pipeline("A1")
+    pipeline = cache.load_pipeline("A1", no_cache=True)
     q = pipeline.quiver
     g = pipeline.group
     e, s = g.identity, g.longest
@@ -220,7 +238,9 @@ def test_cold_warm_and_corrupt_cache(tmp_path):
 
     # flip one byte inside the cache file: checksum must catch it
     (cache_file,) = (tmp_path / "cache").glob("*.json")
-    blob = bytearray(cache_file.read_bytes())
+    assert cache_file.name == f"a2-v{cache.ARTIFACT_VERSION}.json"
+    original = cache_file.read_bytes()
+    blob = bytearray(original)
     pos = blob.find(b'"degrees"')
     blob[pos + 1 : pos + 2] = b"x"
     cache_file.write_bytes(bytes(blob))
@@ -238,6 +258,18 @@ def test_cold_warm_and_corrupt_cache(tmp_path):
         assert b"recomputing" in again.stderr
         assert again.stdout == cold.stdout
 
+    # a version-2 document, checksum intact, at the current path is stale:
+    # recomputed and replaced by the current document
+    payload = dict(json.loads(original)["payload"], mode="shortcut")
+    stale = {"artifact_version": 2, "system": payload["system"], "mode": "shortcut",
+             "checksum": cache._checksum(payload), "payload": payload}
+    cache_file.write_text(json.dumps(stale))
+    again = run_proc(*args, env=env)
+    assert again.returncode == 0
+    assert f"cache {cache_file.name} has version 2; recomputing".encode() in again.stderr
+    assert again.stdout == cold.stdout
+    assert cache_file.read_bytes() == original
+
     nocache = run_proc(*args, "--no-cache", env=env)
     assert nocache.stdout == cold.stdout
 
@@ -245,8 +277,8 @@ def test_cold_warm_and_corrupt_cache(tmp_path):
 def test_store_writes_through_a_private_temporary_file(tmp_path):
     # an entry at "<name>.tmp" (another writer's, say) must not break a
     # store, and a store leaves nothing but the cache file behind
-    pipeline = cache.build_pipeline("A1")
-    path = cache.cache_file(tmp_path, "A1", "shortcut")
+    pipeline = cache.load_pipeline("A1", no_cache=True)
+    path = cache.cache_file(tmp_path, "A1")
     path.with_suffix(".tmp").mkdir()
     cache.store(path, pipeline.family)
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(

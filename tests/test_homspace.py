@@ -11,7 +11,7 @@ from oquiver.soergel import build_all, derived_actions
 @pytest.fixture(scope="module")
 def a2_family():
     g = generate_weyl(build("A2"))
-    return build_all(build_ring(g), shortcut=True)
+    return build_all(build_ring(g))
 
 
 def test_hom1_e_to_s1(a2_family):
@@ -77,7 +77,7 @@ def test_no_loops(a2_family):
 @pytest.mark.parametrize("name", ["A2", "B2"])
 def test_arrow_count_matches_mu(name):
     g = generate_weyl(build(name))
-    family = build_all(build_ring(g), shortcut=True)
+    family = build_all(build_ring(g))
     for y in g:
         for w in g:
             assert arrow_count(family, y, w) == mu(g, y, w), (str(y), str(w))

@@ -24,7 +24,7 @@ def families():
     out = {}
     for name in ("A2", "B2", "G2", "A3"):
         g = generate_weyl(build(name))
-        out[name] = build_all(build_ring(g), shortcut=True)
+        out[name] = build_all(build_ring(g))
     return out
 
 
@@ -106,7 +106,7 @@ def test_a3_generator_counts(families):
 
 def test_stages_release_their_solve_data():
     g = generate_weyl(build("A2"))
-    fam = build_all(build_ring(g), shortcut=True)
+    fam = build_all(build_ring(g))
     assert all(m._presentation is None and m._columns is None for m in fam.modules.values())
     Quiver(fam)
     assert all(m._presentation is None and m._columns is None for m in fam.modules.values())

@@ -24,14 +24,14 @@ from oquiver.soergel import build_all
 @pytest.fixture(scope="module")
 def a2_quiver():
     g = generate_weyl(build("A2"))
-    family = build_all(build_ring(g), shortcut=True)
+    family = build_all(build_ring(g))
     return build_quiver(family)
 
 
 @pytest.fixture(scope="module")
 def a1_quiver():
     g = generate_weyl(build("A1"))
-    family = build_all(build_ring(g), shortcut=True)
+    family = build_all(build_ring(g))
     return build_quiver(family)
 
 

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from oquiver.checks import word_module_family
 from oquiver.kl import ih_graded_dims
 from oquiver.linalg import QMatrix, rank
 from oquiver.rootsystem import build, generate_weyl
@@ -35,7 +36,7 @@ def a2():
 @pytest.fixture(scope="module")
 def a2_family(a2):
     _, ring = a2
-    return build_all(ring, shortcut=True)
+    return build_all(ring)
 
 
 def test_trivial_module(a2):
@@ -198,7 +199,7 @@ def test_family_a2_graded_dims(a2, a2_family):
 def test_family_matches_kl_poincare(name):
     g = generate_weyl(build(name))
     ring = build_ring(g)
-    fam = build_all(ring, shortcut=True)
+    fam = build_all(ring)
     for w in g:
         assert fam.graded_dims(w) == ih_graded_dims(g, w), str(w)
 
@@ -240,9 +241,9 @@ def test_action_degree_shift(a2, a2_family):
 def test_full_mode_g2_matches_oracle():
     g = generate_weyl(build("G2"))
     ring = build_ring(g)
-    fam = build_all(ring, shortcut=False)
+    full = word_module_family(ring)
     for w in g:
-        assert fam.graded_dims(w) == ih_graded_dims(g, w)
+        assert full[w.idx].graded_dims() == ih_graded_dims(g, w)
 
 
 def test_full_mode_a3_fails_loudly():
@@ -254,18 +255,18 @@ def test_full_mode_a3_fails_loudly():
     g = generate_weyl(build("A3"))
     ring = build_ring(g)
     with pytest.raises(CoverNotSeparable):
-        build_all(ring, shortcut=False)
+        word_module_family(ring)
 
 
 @pytest.mark.parametrize("name", ["A2", "B2"])
 def test_shortcut_vs_full_isomorphic(name):
     g = generate_weyl(build(name))
     ring = build_ring(g)
-    fast = build_all(ring, shortcut=True)
-    full = build_all(ring, shortcut=False)
+    fast = build_all(ring)
+    full = word_module_family(ring)
     for w in g:
-        assert fast.graded_dims(w) == full.graded_dims(w)
-        maps = hom_degree0(ring, fast[w], full[w])
+        assert fast.graded_dims(w) == full[w.idx].graded_dims()
+        maps = hom_degree0(ring, fast[w], full[w.idx])
         assert len(maps) == 1
         assert rank(maps[0]) == fast[w].dim  # the canonical map is invertible
 
@@ -284,7 +285,7 @@ def test_multiplicities_match_hecke_prediction(name):
     from oquiver.kl import mu
 
     g = generate_weyl(build(name))
-    fam = build_all(build_ring(g), shortcut=True)
+    fam = build_all(build_ring(g))
     for w in g.elements[1:]:
         i = w.word[-1]
         parent = g.right_mult(w, i)
