@@ -1,6 +1,6 @@
 """
 Disk cache for the expensive pipeline artifact, the module family (per
-module: degrees, generator matrices, multiplicities, provenance), plus the
+module: degrees, generator matrices, multiplicities), plus the
 orchestration that builds or restores a complete pipeline for one root
 system.  The ring is cheap and is rebuilt from Chevalley's rule on restore.
 
@@ -25,11 +25,11 @@ from typing import Callable
 
 from .linalg import QMatrix, format_rational, parse_rational
 from .quiver import Quiver, build_quiver
-from .rootsystem import WeylGroup, build, generate_weyl, parse_type
+from .rootsystem import WeylElement, WeylGroup, build, generate_weyl, parse_type
 from .schubert import CohRing
 from .soergel import GradedModule, ModuleFamily, build_all, derived_actions
 
-ARTIFACT_VERSION = 3
+ARTIFACT_VERSION = 4
 
 ENV_CACHE_DIR = "OQUIVER_CACHE"
 
@@ -62,6 +62,8 @@ def _matrix_doc(m: QMatrix) -> list[list[str]]:
 
 
 def _matrix_from_doc(doc: list[list[str]], cols: int) -> QMatrix:
+    if any(not isinstance(x, str) for row in doc for x in row):
+        raise ValueError('a matrix entry is not a "p/q" string')
     return QMatrix([[parse_rational(x) for x in row] for row in doc], cols=cols)
 
 
@@ -78,13 +80,30 @@ def payload_of(family: ModuleFamily) -> dict:
                 str(g.elements[y]): n
                 for y, n in sorted(family.multiplicities[w.idx].items())
             },
-            "provenance": module.provenance,
         }
     return {
         "system": {"type": g.rootsystem.type_label, "rank": g.rootsystem.rank},
         "elements": [str(w) for w in g.elements],
         "modules": modules,
     }
+
+
+def _module_from_doc(w: WeylElement, doc: dict, rank: int) -> GradedModule:
+    """The module V_w from its cache document, which must be shaped like one:
+    every generator sigma_{s_i} is dim x dim and raises degree by 2."""
+    degrees = doc["degrees"]
+    if not isinstance(degrees, list) or not degrees or any(type(d) is not int for d in degrees):
+        raise ValueError(f"module {w} has no nonempty list of integer degrees")
+    if len(doc["gens"]) != rank:
+        raise ValueError(f"module {w} does not have one matrix per generator")
+    dim = len(degrees)
+    gens = [_matrix_from_doc(a, dim) for a in doc["gens"]]
+    for a in gens:
+        if (a.rows, a.cols) != (dim, dim):
+            raise ValueError(f"module {w} has a {a.rows}x{a.cols} generator on dimension {dim}")
+        if any(degrees[p] != degrees[q] + 2 for p, q, _ in a.nonzero_items()):
+            raise ValueError(f"module {w} has a generator that does not raise degree by 2")
+    return GradedModule(dim, degrees, gens)
 
 
 def restore(group: WeylGroup, payload: dict) -> tuple[CohRing, ModuleFamily]:
@@ -96,16 +115,7 @@ def restore(group: WeylGroup, payload: dict) -> tuple[CohRing, ModuleFamily]:
     family = ModuleFamily(ring)
     for w in g.elements:
         doc = payload["modules"][str(w)]
-        if len(doc["gens"]) != g.rootsystem.rank:
-            raise ValueError(f"module {w} does not have one matrix per generator")
-        dim = len(doc["degrees"])
-        module = GradedModule(
-            dim,
-            doc["degrees"],
-            [_matrix_from_doc(a, dim) for a in doc["gens"]],
-            provenance=doc["provenance"],
-        )
-        family.modules[w.idx] = module
+        family.modules[w.idx] = _module_from_doc(w, doc, g.rootsystem.rank)
         family.multiplicities[w.idx] = {
             lookup[y].idx: n for y, n in doc["multiplicities"].items()
         }

@@ -18,7 +18,7 @@ from .linalg import QMatrix
 from .rootsystem import WeylElement
 from .soergel import ModuleFamily, graded_hom_basis
 
-__all__ = ["HomBasis", "hom_basis", "arrow_count"]
+__all__ = ["HomBasis", "hom_basis"]
 
 
 @dataclass(frozen=True)
@@ -37,8 +37,3 @@ def hom_basis(family: ModuleFamily, y: WeylElement, w: WeylElement, degree: int)
     """Canonical basis of Hom^degree(V_y, V_w)."""
     maps = graded_hom_basis(family.ring, family[y], family[w], degree)
     return HomBasis(y, w, degree, tuple(maps))
-
-
-def arrow_count(family: ModuleFamily, y: WeylElement, w: WeylElement) -> int:
-    """Number of quiver arrows y -> w, i.e. dim Hom^1(V_y, V_w)."""
-    return hom_basis(family, y, w, 1).dim

@@ -236,10 +236,7 @@ def _invert(mat: QMatrix) -> QMatrix:
 
 def _dual_module(module: GradedModule) -> GradedModule:
     return GradedModule(
-        module.dim,
-        tuple(-d for d in module.degrees),
-        [a.transpose() for a in module.gens],
-        provenance=f"dual({module.provenance})",
+        module.dim, tuple(-d for d in module.degrees), [a.transpose() for a in module.gens]
     )
 
 
@@ -256,7 +253,6 @@ def _duality_isos(q: Quiver) -> list[QMatrix]:
     for w in q.group.elements:
         module = q.family.modules[w.idx]
         maps = graded_hom_basis(q.family.ring, module, _dual_module(module), 0)
-        module.release()
         if len(maps) != 1 or rank(maps[0]) != module.dim:
             raise InternalConsistencyError(  # pragma: no cover - internal self-check
                 f"self-duality pairing of V[{w}] is not unique and invertible"

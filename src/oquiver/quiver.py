@@ -78,13 +78,11 @@ class Quiver:
         self.hom1: dict[tuple[int, int], tuple[QMatrix, ...]] = {}
         self.arrows: list[Arrow] = []
         g = self.group
-        # target-major, so the action matrices of one target are alive at a time
+        # target-major, so each target's action columns are built once
         solved: dict[tuple[int, int], tuple[QMatrix, ...]] = {}
         for w in g.elements:
             for y in g.elements:
                 solved[(y.idx, w.idx)] = hom_basis(family, y, w, 1).basis
-            family[w].release(keep_presentation=True)
-        family.release()
         for y in g.elements:
             for w in g.elements:
                 basis = solved[(y.idx, w.idx)]

@@ -24,8 +24,9 @@ tensor word module, which serves only as a rank-2 reference.
 Every Hom space is solved through a presentation of the source: a module
 map is fixed by the images of the 1-3 generators of the source, subject to
 its relations, so the unknowns are those images rather than every matrix
-entry of the degree band.  A stage keeps the presentations and the action
-matrices it needs on the modules and drops them with `release` when done.
+entry of the degree band.  A module's presentation is built once and stays
+on the module; the action columns of a target are memoized for one target
+at a time, so a sweep that runs target-major builds them once per target.
 
 Degrees are symmetric around 0: V_w lives in [-l(w), l(w)] with parity
 l(w) mod 2, and sigma_v shifts degree by +2 l(v).
@@ -33,6 +34,7 @@ l(w) mod 2, and sigma_v shifts degree by +2 l(v).
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -48,22 +50,14 @@ class GradedModule:
     """A graded module over the cohomology ring, stored as one action matrix
     per rank generator sigma_{s_1}, ..., sigma_{s_r}."""
 
-    __slots__ = ("dim", "degrees", "gens", "provenance", "_presentation", "_columns")
+    __slots__ = ("dim", "degrees", "gens", "_presentation")
 
-    def __init__(self, dim: int, degrees: Sequence[int], gens: Sequence[QMatrix], provenance: str = ""):
+    def __init__(self, dim: int, degrees: Sequence[int], gens: Sequence[QMatrix]):
         self.dim = dim
         self.degrees = tuple(degrees)
         self.gens = list(gens)
-        self.provenance = provenance
-        # data derived for Hom solves; never refers back to the module
+        # built on the first Hom solve from this module; never refers back to it
         self._presentation: Presentation | None = None
-        self._columns: list[tuple[Row, ...]] | None = None
-
-    def release(self, keep_presentation: bool = False) -> None:
-        """Drop the data derived for Hom solves, at the end of a stage."""
-        self._columns = None
-        if not keep_presentation:
-            self._presentation = None
 
     def graded_dims(self) -> dict[int, int]:
         out: dict[int, int] = {}
@@ -139,7 +133,7 @@ _UNIT = [[QMatrix([[1, 0], [0, 0]]), QMatrix([[0, 1], [0, 0]])],
 def trivial_module(ring: CohRing) -> GradedModule:
     """V_e: one dimension in degree 0; every sigma_v with v != e acts by 0."""
     gens = [QMatrix.zeros(1, 1) for _ in range(ring.rootsystem.rank)]
-    return GradedModule(1, (0,), gens, provenance="trivial")
+    return GradedModule(1, (0,), gens)
 
 
 def extend(ring: CohRing, i: int, module: GradedModule) -> GradedModule:
@@ -164,7 +158,7 @@ def extend(ring: CohRing, i: int, module: GradedModule) -> GradedModule:
             x1m.kron(_UNIT[0][0]) + x2m.kron(_UNIT[0][1])
             + y1m.kron(_UNIT[1][0]) + y2m.kron(_UNIT[1][1])
         )
-    return GradedModule(dim, degrees, gens, provenance=f"extend({i}, {module.provenance})")
+    return GradedModule(dim, degrees, gens)
 
 
 def word_module(ring: CohRing, word: Iterable[int]) -> GradedModule:
@@ -227,23 +221,27 @@ class Presentation:
 
 
 def presentation(ring: CohRing, module: GradedModule) -> Presentation:
-    """The module's presentation, computed once and kept until `release`."""
+    """The module's presentation, computed once and kept on the module."""
     if module._presentation is None:
         module._presentation = Presentation(ring, module)
     return module._presentation
 
 
-def _action_columns(ring: CohRing, module: GradedModule) -> list[tuple[Row, ...]]:
+@functools.lru_cache(maxsize=1)
+def _action_cols(ring: CohRing, module: GradedModule) -> tuple[tuple[Row, ...], ...]:
     """The columns of sigma_v on the module for every v that can act nonzero
-    (2 l(v) at most the degree span), kept until `release`."""
-    if module._columns is None:
-        span = (max(module.degrees) - min(module.degrees)) // 2
-        actions = derived_actions(ring, module.gens, QMatrix.identity(module.dim), top=span)
-        module._columns = [a.transpose().data for a in actions]
-    return module._columns
+    (2 l(v) at most the degree span).
+
+    Only the last target's columns are kept (both arguments hash by
+    identity), so sweeps that solve many sources against one target should
+    run target-major.
+    """
+    span = (max(module.degrees) - min(module.degrees)) // 2
+    actions = derived_actions(ring, module.gens, QMatrix.identity(module.dim), top=span)
+    return tuple(a.transpose().data for a in actions)
 
 
-def _act(columns: list[tuple[Row, ...]], v: int, vector: Row) -> Row:
+def _act(columns: tuple[tuple[Row, ...], ...], v: int, vector: Row) -> Row:
     """sigma_v (element index v) applied to a vector, from the action columns."""
     out: Row = {}
     if v < len(columns):
@@ -268,7 +266,7 @@ def graded_hom_basis(
     matrix entries in the degree band, ordered row-major.
     """
     pres = presentation(ring, source)
-    columns = _action_columns(ring, target)
+    columns = _action_cols(ring, target)
     by_degree: dict[int, list[int]] = {}
     for p, d in enumerate(target.degrees):
         by_degree.setdefault(d, []).append(p)
@@ -372,10 +370,6 @@ class ModuleFamily:
     def graded_dims(self, w: WeylElement) -> dict[int, int]:
         return self.modules[w.idx].graded_dims()
 
-    def release(self) -> None:
-        for module in self.modules.values():
-            module.release()
-
 
 def extract_top(
     ring: CohRing,
@@ -418,15 +412,11 @@ def extract_top(
 
     if not lower_vectors:
         # nothing to quotient by: the cover itself is V_w
-        untouched = GradedModule(
-            dim, module.degrees, module.gens, provenance=f"{module.provenance} (identity)"
-        )
-        if len(hom_degree0(ring, untouched, untouched)) != 1:
+        if len(hom_degree0(ring, module, module)) != 1:
             raise CoverNotSeparable(
                 f"cover of {w} has no visible lower summands yet is decomposable"
             )
-        untouched.release(keep_presentation=True)
-        return untouched, {}
+        return module, {}
 
     # Step 2: grow a complement basis from cyclic orbits of leftover vectors.
     chosen: list[Row] = []
@@ -470,15 +460,12 @@ def extract_top(
                     rows[src][j] = coeff
         gens.append(QMatrix.from_rows(rows, new_dim))
 
-    quotient = GradedModule(
-        new_dim, degrees, gens, provenance=f"{module.provenance} / lower terms"
-    )
+    quotient = GradedModule(new_dim, degrees, gens)
     if len(hom_degree0(ring, quotient, quotient)) != 1:
         raise CoverNotSeparable(
             f"extracted module for {w} is decomposable; the cover hid "
             "grading-shifted lower summands from the degree-0 solves"
         )
-    quotient.release(keep_presentation=True)  # later covers need it as a source
     return quotient, multiplicities
 
 
@@ -493,8 +480,6 @@ def build_all(ring: CohRing) -> ModuleFamily:
         i = w.word[-1]
         cover = extend(ring, i, family.modules[g.right_mult(w, i).idx])
         module, mults = extract_top(ring, cover, family.modules, w)
-        module.provenance = f"V[{w}] from {module.provenance}"
         family.modules[w.idx] = module
         family.multiplicities[w.idx] = mults
-    family.release()
     return family

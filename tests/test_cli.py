@@ -258,20 +258,67 @@ def test_cold_warm_and_corrupt_cache(tmp_path):
         assert b"recomputing" in again.stderr
         assert again.stdout == cold.stdout
 
-    # a version-2 document, checksum intact, at the current path is stale:
-    # recomputed and replaced by the current document
-    payload = dict(json.loads(original)["payload"], mode="shortcut")
-    stale = {"artifact_version": 2, "system": payload["system"], "mode": "shortcut",
+    # a version-3 document (modules with "provenance"), checksum intact, at
+    # the current path is stale: recomputed and replaced by the current document
+    payload = json.loads(original)["payload"]
+    for doc in payload["modules"].values():
+        doc["provenance"] = "V[w] from extend(i, V[w s_i]) / lower terms"
+    stale = {"artifact_version": 3, "system": payload["system"],
              "checksum": cache._checksum(payload), "payload": payload}
     cache_file.write_text(json.dumps(stale))
     again = run_proc(*args, env=env)
     assert again.returncode == 0
-    assert f"cache {cache_file.name} has version 2; recomputing".encode() in again.stderr
+    assert f"cache {cache_file.name} has version 3; recomputing".encode() in again.stderr
     assert again.stdout == cold.stdout
     assert cache_file.read_bytes() == original
 
     nocache = run_proc(*args, "--no-cache", env=env)
     assert nocache.stdout == cold.stdout
+
+
+def _cut_first_generator(doc):
+    doc["gens"][0] = doc["gens"][0][:1]
+
+
+def _unquote_first_entry(doc):
+    doc["gens"][0][0][0] = 0
+
+
+def _set_degrees(degrees, gens=None):
+    def mutate(doc):
+        doc["degrees"] = degrees
+        if gens is not None:
+            doc["gens"] = gens
+    return mutate
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        _cut_first_generator,
+        _set_degrees([0, 0]),
+        _set_degrees(["a", 1]),
+        _set_degrees([], gens=[[], []]),
+        _unquote_first_entry,
+    ],
+    ids=["generator-not-square", "degrees-not-shifted", "degree-not-int", "no-degrees",
+         "entry-not-string"],
+)
+def test_checksummed_cache_with_malformed_module_is_recomputed(mutate, tmp_path, capsys):
+    # a cache file whose checksum holds but whose module is not shaped like
+    # one must be rebuilt, never trusted (a cut generator gave a wrong quiver)
+    args = ("quiver", "--type", "A2", "--format", "json", "--cache-dir", str(tmp_path))
+    code, cold, _ = run_cli(*args, capsys=capsys)
+    assert code == 0
+    path = cache.cache_file(tmp_path, "A2")
+    envelope = json.loads(path.read_text())
+    mutate(envelope["payload"]["modules"]["1"])
+    envelope["checksum"] = cache._checksum(envelope["payload"])
+    path.write_text(json.dumps(envelope))
+    code, out, err = run_cli(*args, capsys=capsys)
+    assert code == 0
+    assert f"cache {path.name} malformed (" in err and "recomputing" in err
+    assert out == cold
 
 
 def test_store_writes_through_a_private_temporary_file(tmp_path):

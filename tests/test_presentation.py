@@ -5,8 +5,9 @@ import gc
 import pytest
 
 from commutant import commutant_hom_basis
-from oquiver.icmod import _dual_module
-from oquiver.quiver import Quiver
+from oquiver import soergel
+from oquiver.cache import load_pipeline
+from oquiver.icmod import ICModule, _dual_module, verdier_dual
 from oquiver.rootsystem import build, generate_weyl
 from oquiver.schubert import build_ring
 from oquiver.soergel import (
@@ -104,22 +105,34 @@ def test_a3_generator_counts(families):
     assert counts == {1: 22, 2: 2}
 
 
-def test_stages_release_their_solve_data():
-    g = generate_weyl(build("A2"))
-    fam = build_all(build_ring(g))
-    assert all(m._presentation is None and m._columns is None for m in fam.modules.values())
-    Quiver(fam)
-    assert all(m._presentation is None and m._columns is None for m in fam.modules.values())
+def test_each_presentation_is_built_once(monkeypatch):
+    # presentations stay on their module, so the A3 pipeline, its quiver and
+    # its duality pairings build each of the 24 exactly once
+    built = []
+    init = soergel.Presentation.__init__
+
+    def counting_init(self, ring, module):
+        built.append(module)
+        init(self, ring, module)
+
+    monkeypatch.setattr(soergel.Presentation, "__init__", counting_init)
+    q = load_pipeline("A3", no_cache=True).quiver
+    verdier_dual(q, ICModule({}, {}))
+    assert len(built) == 24
 
 
 def test_hom_solve_leaves_no_reference_cycle():
-    # the cached solve data must not point back at its module, or every
-    # temporary cover would outlive its stage until a collection
+    # neither the presentation kept on the module nor the memoized action
+    # columns may point back at the module, or every temporary cover would
+    # outlive its stage until a collection
     g = generate_weyl(build("A2"))
     ring = build_ring(g)
+    other = trivial_module(ring)
+    graded_hom_basis(ring, other, other, 0)  # evict an earlier test's target
     gc.collect()
     m = word_module(ring, [1, 2, 1])
     assert graded_hom_basis(ring, m, m, 0)
-    assert m._presentation is not None and m._columns is not None
+    assert m._presentation is not None
+    graded_hom_basis(ring, other, other, 0)  # the column memo lets go of m
     del m
     assert gc.collect() == 0
