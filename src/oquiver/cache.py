@@ -1,8 +1,18 @@
 """
-Disk cache for the expensive pipeline artifact, the module family (per
-module: degrees, generator matrices, multiplicities), plus the
-orchestration that builds or restores a complete pipeline for one root
-system.  The ring is cheap and is rebuilt from Chevalley's rule on restore.
+Disk cache for the whole pipeline artifact of one root system, and the
+orchestration that builds or restores it.  A cache file holds the module
+family (per module: degrees, generator matrices, multiplicities of the
+lower summands of its cover), every nonzero Hom^1 basis and the canonical
+relator basis of every pair of vertices joined by length-2 paths.  The
+ring is cheap and is rebuilt from Chevalley's rule on restore, so a warm
+run parses, checks shapes and prints: no presentation, Hom solve or relator
+elimination.
+
+Every matrix is stored sparsely as `[i, j, "p/q"]` triples of its nonzero
+entries, its shape implied by the module degrees; a relator is stored as
+`[n, "p/q"]` pairs over the indices into `Quiver.paths(y, w)`, in its term
+order; pairs of vertices are indices into the element list.  Rationals stay
+exact, since B3 modules have denominators.
 
 Cache files are content-addressed by (type, rank, artifact version) in
 the file name (`<type><rank>-v<version>.json`), carry a sha256 checksum of
@@ -19,17 +29,18 @@ import hashlib
 import json
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 from typing import Callable
 
-from .linalg import QMatrix, format_rational, parse_rational
-from .quiver import Quiver, build_quiver
+from .linalg import QMatrix, Row, format_rational, parse_rational
+from .quiver import Hom1, Quiver, build_quiver
 from .rootsystem import WeylElement, WeylGroup, build, generate_weyl, parse_type
 from .schubert import CohRing
 from .soergel import GradedModule, ModuleFamily, build_all, derived_actions
 
-ARTIFACT_VERSION = 4
+ARTIFACT_VERSION = 5
 
 ENV_CACHE_DIR = "OQUIVER_CACHE"
 
@@ -57,25 +68,58 @@ def _checksum(payload: dict) -> str:
     return hashlib.sha256(_canonical(payload).encode()).hexdigest()
 
 
-def _matrix_doc(m: QMatrix) -> list[list[str]]:
-    return [[format_rational(x) for x in row] for row in m.dense()]
+def _sparse_doc(m: QMatrix) -> list[list]:
+    return [[i, j, format_rational(x)] for i, j, x in m.nonzero_items()]
 
 
-def _matrix_from_doc(doc: list[list[str]], cols: int) -> QMatrix:
-    if any(not isinstance(x, str) for row in doc for x in row):
-        raise ValueError('a matrix entry is not a "p/q" string')
-    return QMatrix([[parse_rational(x) for x in row] for row in doc], cols=cols)
+def _rational(x) -> Fraction:
+    """A stored nonzero "p/q" string."""
+    if not isinstance(x, str):
+        raise ValueError('a stored rational is not a "p/q" string')
+    value = parse_rational(x)
+    if not value:
+        raise ValueError("a stored rational is zero")
+    return value
 
 
-def payload_of(family: ModuleFamily) -> dict:
-    """Everything keyed by canonical element strings, rationals as "p/q"."""
-    g = family.group
+def _sparse_from_doc(doc, rows: int, cols: int) -> QMatrix:
+    """A rows x cols matrix from its nonzero `[i, j, "p/q"]` triples."""
+    if not isinstance(doc, list):
+        raise ValueError('a matrix is not a list of [i, j, "p/q"] triples')
+    data: list[Row] = [{} for _ in range(rows)]
+    for i, j, x in doc:
+        if type(i) is not int or type(j) is not int or not (0 <= i < rows and 0 <= j < cols) or j in data[i]:
+            raise ValueError(f"entry ({i}, {j}) is repeated or outside a {rows}x{cols} matrix")
+        data[i][j] = _rational(x)
+    return QMatrix.from_rows(data, cols)
+
+
+def _row_doc(row: Row) -> list[list]:
+    return [[n, format_rational(c)] for n, c in row.items()]
+
+
+def _row_from_doc(doc) -> Row:
+    if not isinstance(doc, list):
+        raise ValueError('a relator is not a list of [n, "p/q"] pairs')
+    row: Row = {}
+    for n, c in doc:
+        if type(n) is not int or n in row:
+            raise ValueError(f"a relator names path {n!r} twice or by a non-integer")
+        row[n] = _rational(c)
+    return row
+
+
+def payload_of(q: Quiver) -> dict:
+    """Modules keyed by canonical element strings, pairs as element indices,
+    rationals as "p/q"."""
+    g = q.group
+    family = q.family
     modules = {}
     for w in g.elements:
         module = family.modules[w.idx]
         modules[str(w)] = {
             "degrees": list(module.degrees),
-            "gens": [_matrix_doc(a) for a in module.gens],
+            "gens": [_sparse_doc(a) for a in module.gens],
             "multiplicities": {
                 str(g.elements[y]): n
                 for y, n in sorted(family.multiplicities[w.idx].items())
@@ -85,6 +129,10 @@ def payload_of(family: ModuleFamily) -> dict:
         "system": {"type": g.rootsystem.type_label, "rank": g.rootsystem.rank},
         "elements": [str(w) for w in g.elements],
         "modules": modules,
+        "hom1": [[y, w, [_sparse_doc(m) for m in basis]] for (y, w), basis in q.hom1.items()],
+        "relators": [
+            [y, w, [_row_doc(row) for row in rows]] for (y, w), rows in q.relator_rows().items()
+        ],
     }
 
 
@@ -94,36 +142,74 @@ def _module_from_doc(w: WeylElement, doc: dict, rank: int) -> GradedModule:
     degrees = doc["degrees"]
     if not isinstance(degrees, list) or not degrees or any(type(d) is not int for d in degrees):
         raise ValueError(f"module {w} has no nonempty list of integer degrees")
-    if len(doc["gens"]) != rank:
+    if not isinstance(doc["gens"], list) or len(doc["gens"]) != rank:
         raise ValueError(f"module {w} does not have one matrix per generator")
     dim = len(degrees)
-    gens = [_matrix_from_doc(a, dim) for a in doc["gens"]]
+    gens = [_sparse_from_doc(a, dim, dim) for a in doc["gens"]]
     for a in gens:
-        if (a.rows, a.cols) != (dim, dim):
-            raise ValueError(f"module {w} has a {a.rows}x{a.cols} generator on dimension {dim}")
         if any(degrees[p] != degrees[q] + 2 for p, q, _ in a.nonzero_items()):
             raise ValueError(f"module {w} has a generator that does not raise degree by 2")
     return GradedModule(dim, degrees, gens)
 
 
-def restore(group: WeylGroup, payload: dict) -> tuple[CohRing, ModuleFamily]:
+def _multiplicities_from_doc(w: WeylElement, doc: dict, lookup: dict[str, WeylElement]) -> dict[int, int]:
+    counts = doc["multiplicities"]
+    if not isinstance(counts, dict) or any(type(n) is not int or n < 1 for n in counts.values()):
+        raise ValueError(f"module {w} has multiplicities that are not positive integers")
+    return {lookup[y].idx: n for y, n in counts.items()}
+
+
+def _pairs(doc, size: int):
+    """The `[y, w, data]` entries of a section, pairs in range and y-major."""
+    if not isinstance(doc, list):
+        raise ValueError("a pair section is not a list")
+    last = (-1, -1)
+    for y, w, data in doc:
+        if type(y) is not int or type(w) is not int or not (0 <= y < size and 0 <= w < size):
+            raise ValueError(f"pair ({y}, {w}) is out of range")
+        if (y, w) <= last:
+            raise ValueError(f"pair ({y}, {w}) is out of order")
+        last = (y, w)
+        if not isinstance(data, list):
+            raise ValueError(f"pair ({y}, {w}) holds no list")
+        yield (y, w), data
+
+
+def _hom1_from_doc(doc, family: ModuleFamily) -> Hom1:
+    """Hom^1 bases, each map dim V_w x dim V_y and of degree 1."""
+    hom1: Hom1 = {}
+    for (y, w), maps in _pairs(doc, len(family.group)):
+        source, target = family.modules[y], family.modules[w]
+        if not maps:
+            raise ValueError(f"Hom^1 of pair ({y}, {w}) is stored without a basis")
+        basis = tuple(_sparse_from_doc(m, target.dim, source.dim) for m in maps)
+        for m in basis:
+            if any(target.degrees[p] != source.degrees[q] + 1 for p, q, _ in m.nonzero_items()):
+                raise ValueError(f"a Hom^1 map of pair ({y}, {w}) does not have degree 1")
+        hom1[(y, w)] = basis
+    return hom1
+
+
+def restore(group: WeylGroup, payload: dict) -> Quiver:
     g = group
     if payload["elements"] != [str(w) for w in g.elements]:
         raise ValueError("cached element order does not match this build")
     lookup = {str(w): w for w in g.elements}
-    ring = CohRing(group)
-    family = ModuleFamily(ring)
+    family = ModuleFamily(CohRing(group))
     for w in g.elements:
         doc = payload["modules"][str(w)]
         family.modules[w.idx] = _module_from_doc(w, doc, g.rootsystem.rank)
-        family.multiplicities[w.idx] = {
-            lookup[y].idx: n for y, n in doc["multiplicities"].items()
-        }
-    return ring, family
+        family.multiplicities[w.idx] = _multiplicities_from_doc(w, doc, lookup)
+    hom1 = _hom1_from_doc(payload["hom1"], family)
+    relators = {
+        pair: [_row_from_doc(row) for row in rows]
+        for pair, rows in _pairs(payload["relators"], len(g))
+    }
+    return Quiver(family, hom1, relators)
 
 
-def store(path: Path, family: ModuleFamily) -> None:
-    payload = payload_of(family)
+def store(path: Path, q: Quiver) -> None:
+    payload = payload_of(q)
     envelope = {
         "artifact_version": ARTIFACT_VERSION,
         "system": payload["system"],
@@ -146,12 +232,12 @@ def store(path: Path, family: ModuleFamily) -> None:
         raise CacheUnusable(f"cannot write cache file {path}: {exc}") from exc
 
 
-def load(path: Path, group: WeylGroup, warn: Callable[[str], None]) -> tuple[CohRing, ModuleFamily] | None:
+def load(path: Path, group: WeylGroup, warn: Callable[[str], None]) -> Quiver | None:
     try:
         envelope = json.loads(path.read_text(encoding="utf-8"))
     except FileNotFoundError:
         return None
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         warn(f"cache {path.name} unreadable ({exc}); recomputing")
         return None
     if not isinstance(envelope, dict):
@@ -169,25 +255,19 @@ def load(path: Path, group: WeylGroup, warn: Callable[[str], None]) -> tuple[Coh
         return None
     try:
         return restore(group, payload)
-    except (KeyError, ValueError, IndexError, TypeError) as exc:
+    except (KeyError, ValueError, IndexError, TypeError, ZeroDivisionError) as exc:
         warn(f"cache {path.name} malformed ({exc}); recomputing")
         return None
 
 
 @dataclass
 class Pipeline:
-    """Everything computed for one root system, quiver built on demand."""
+    """Everything computed for one root system."""
 
     group: WeylGroup
     ring: CohRing
     family: ModuleFamily
-    _quiver: Quiver | None = field(default=None, repr=False)
-
-    @property
-    def quiver(self) -> Quiver:
-        if self._quiver is None:
-            self._quiver = build_quiver(self.family)
-        return self._quiver
+    quiver: Quiver
 
 
 def load_pipeline(
@@ -196,22 +276,25 @@ def load_pipeline(
     no_cache: bool = False,
     warn: Callable[[str], None] = lambda s: None,
 ) -> Pipeline:
-    """Build the pipeline, restoring ring and family from cache unless
-    `no_cache`, and storing a freshly built family."""
+    """Restore the pipeline from cache unless `no_cache`; otherwise build
+    the family, the quiver and its relators and store them once."""
     label, rank = parse_type(name)
     group = generate_weyl(build(label, rank))
     path = None
+    q = None
     if not no_cache:
         directory = cache_dir if cache_dir is not None else default_cache_dir()
         path = cache_file(directory, f"{label}{rank}")
-        restored = load(path, group, warn)
-        if restored is not None:
-            return Pipeline(group, *restored)
-    ring = CohRing(group)
-    family = build_all(ring)
-    if path is not None:
-        store(path, family)
-    return Pipeline(group, ring, family)
+        q = load(path, group, warn)
+    if q is None:
+        q = build_quiver(build_all(CohRing(group)))
+        if path is not None:
+            store(path, q)
+    return Pipeline(group, q.family.ring, q.family, q)
+
+
+def _matrix_doc(m: QMatrix) -> list[list[str]]:
+    return [[format_rational(x) for x in row] for row in m.dense()]
 
 
 def module_doc(pipeline: Pipeline, w) -> dict:

@@ -177,7 +177,10 @@ def cmd_check(args) -> int:
 
 
 def _load_icmodule(args):
-    doc = json.loads(Path(args.file).read_text(encoding="utf-8"))
+    try:
+        doc = json.loads(Path(args.file).read_text(encoding="utf-8"))
+    except RecursionError:
+        raise icmod_ops.ShapeError("document is nested too deeply to read") from None
     pipeline = cache_mod.load_pipeline(
         icmod_ops.document_type(doc),
         cache_dir=args.cache_dir,

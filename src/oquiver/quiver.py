@@ -33,6 +33,8 @@ QQ = Fraction
 
 # (y, j, z, i, w): first the j-th arrow y -> z, then the i-th arrow z -> w
 PathKey = tuple[int, int, int, int, int]
+# (y, w) -> canonical basis of Hom^1(V_y, V_w), for the pairs where it is nonzero
+Hom1 = dict[tuple[int, int], tuple[QMatrix, ...]]
 
 
 class MalformedPath(ValueError):
@@ -70,27 +72,42 @@ class PathCombo:
 
 
 class Quiver:
-    """Arrows plus (lazily computed) per-pair relator bases."""
+    """Arrows plus the canonical relator basis of every ordered pair.
 
-    def __init__(self, family: ModuleFamily):
+    `hom1` maps each ordered pair (y, w) with dim Hom^1(V_y, V_w) > 0 to its
+    canonical basis, pairs in y-major order.  `relators` maps each pair with
+    length-2 paths to its relator basis, one Row per relator over the
+    indices into `paths(y, w)`; a Row's order is its relator's term order.
+    :func:`build_quiver` solves both, `cache.restore` decodes them.
+    """
+
+    def __init__(
+        self,
+        family: ModuleFamily,
+        hom1: Hom1,
+        relators: dict[tuple[int, int], list[Row]],
+    ):
         self.family = family
         self.group = family.group
-        self.hom1: dict[tuple[int, int], tuple[QMatrix, ...]] = {}
-        self.arrows: list[Arrow] = []
-        g = self.group
-        # target-major, so each target's action columns are built once
-        solved: dict[tuple[int, int], tuple[QMatrix, ...]] = {}
-        for w in g.elements:
-            for y in g.elements:
-                solved[(y.idx, w.idx)] = hom_basis(family, y, w, 1).basis
-        for y in g.elements:
-            for w in g.elements:
-                basis = solved[(y.idx, w.idx)]
-                if basis:
-                    self.hom1[(y.idx, w.idx)] = basis
-                    for k, m in enumerate(basis):
-                        self.arrows.append(Arrow(y, w, k, m))
-        self._relators: dict[tuple[int, int], list[PathCombo]] | None = None
+        self.hom1 = hom1
+        elements = self.group.elements
+        self.arrows = [
+            Arrow(elements[y], elements[w], k, m)
+            for (y, w), basis in hom1.items()
+            for k, m in enumerate(basis)
+        ]
+        self._paths = _length2_paths(hom1)
+        if relators.keys() != self._paths.keys():
+            raise MalformedPath("relators are not given for exactly the pairs joined by length-2 paths")
+        self._relators: dict[tuple[int, int], list[PathCombo]] = {}
+        for (y, w), rows in relators.items():
+            keys = self.paths(y, w)
+            combos = []
+            for row in rows:
+                if any(not 0 <= n < len(keys) for n in row):
+                    raise MalformedPath(f"a relator from {y} to {w} names a path it does not have")
+                combos.append(PathCombo(y, w, {keys[n]: c for n, c in row.items()}))
+            self._relators[(y, w)] = combos
 
     # -- structure queries --------------------------------------------------
 
@@ -99,46 +116,20 @@ class Quiver:
 
     def paths(self, y_idx: int, w_idx: int) -> list[PathKey]:
         """Length-2 paths y -> z -> w, ordered by (z, j, i) canonically."""
-        out: list[PathKey] = []
-        for z in self.group.elements:
-            first = self.hom1.get((y_idx, z.idx))
-            second = self.hom1.get((z.idx, w_idx))
-            if first and second:
-                for j in range(len(first)):
-                    for i in range(len(second)):
-                        out.append((y_idx, j, z.idx, i, w_idx))
-        return out
+        return self._paths.get((y_idx, w_idx), [])
 
     # -- relators ------------------------------------------------------------
 
     def relators(self) -> dict[tuple[int, int], list[PathCombo]]:
-        if self._relators is not None:
-            return self._relators
-        out: dict[tuple[int, int], list[PathCombo]] = {}
-        g = self.group
-        for y in g.elements:
-            for w in g.elements:
-                pair = (y.idx, w.idx)
-                keys = self.paths(*pair)
-                if not keys:
-                    continue
-                basis_rows = canonical_basis(self._product_rows(keys), len(keys))
-                out[pair] = [
-                    PathCombo(y.idx, w.idx, {keys[n]: c for n, c in vec.items()})
-                    for vec in basis_rows
-                ]
-        self._relators = out
-        return out
+        return self._relators
 
-    def _product_rows(self, keys: Sequence[PathKey]) -> list[Row]:
-        """The entries of dtilde^2 on one pair: a Row over the paths `keys`
-        per nonzero matrix entry (p, q) of the path products, in (p, q) order."""
-        entries: dict[tuple[int, int], Row] = {}
-        for n, (y, j, z, i, w) in enumerate(keys):
-            product = self.hom1[(z, w)][i] * self.hom1[(y, z)][j]
-            for p, q, value in product.nonzero_items():
-                entries.setdefault((p, q), {})[n] = value
-        return [entries[pq] for pq in sorted(entries)]
+    def relator_rows(self) -> dict[tuple[int, int], list[Row]]:
+        """The relators in the form the constructor takes."""
+        rows = {}
+        for pair, combos in self._relators.items():
+            key_index = {k: n for n, k in enumerate(self.paths(*pair))}
+            rows[pair] = [_combo_row(key_index, c) for c in combos]
+        return rows
 
     def relator_dim(self) -> int:
         return sum(len(v) for v in self.relators().values())
@@ -223,7 +214,7 @@ class Quiver:
                 span = RowSpan(len(keys))
                 for combo in rel.get(pair, []):
                     span.add(_combo_row(key_index, combo))
-                if not all(span.contains(row) for row in self._product_rows(keys)):
+                if not all(span.contains(row) for row in _product_rows(self.hom1, keys)):
                     return False
         return True
 
@@ -233,8 +224,46 @@ def _combo_row(key_index: dict[PathKey, int], combo: PathCombo) -> Row:
     return {key_index[k]: c for k, c in combo.terms.items()}
 
 
+def _length2_paths(hom1: Hom1) -> dict[tuple[int, int], list[PathKey]]:
+    """Every length-2 path of a y-major `hom1`, grouped by (source, target),
+    each group ordered by (z, j, i) canonically."""
+    successors: dict[int, list[tuple[int, int]]] = {}
+    for (z, w), basis in hom1.items():
+        successors.setdefault(z, []).append((w, len(basis)))
+    out: dict[tuple[int, int], list[PathKey]] = {}
+    for (y, z), first in hom1.items():
+        for w, second in successors.get(z, ()):
+            keys = out.setdefault((y, w), [])
+            for j in range(len(first)):
+                for i in range(second):
+                    keys.append((y, j, z, i, w))
+    return out
+
+
+def _product_rows(hom1: Hom1, keys: Sequence[PathKey]) -> list[Row]:
+    """The entries of dtilde^2 on one pair: a Row over the paths `keys`
+    per nonzero matrix entry (p, q) of the path products, in (p, q) order."""
+    entries: dict[tuple[int, int], Row] = {}
+    for n, (y, j, z, i, w) in enumerate(keys):
+        product = hom1[(z, w)][i] * hom1[(y, z)][j]
+        for p, q, value in product.nonzero_items():
+            entries.setdefault((p, q), {})[n] = value
+    return [entries[pq] for pq in sorted(entries)]
+
+
 def build_quiver(family: ModuleFamily) -> Quiver:
-    return Quiver(family)
+    """Solve every Hom^1 space and the relator basis of every pair."""
+    g = family.group
+    # target-major, so each target's action columns are built once
+    solved = {
+        (y.idx, w.idx): hom_basis(family, y, w, 1).basis for w in g.elements for y in g.elements
+    }
+    hom1 = {pair: solved[pair] for pair in sorted(solved) if solved[pair]}
+    relators = {
+        pair: canonical_basis(_product_rows(hom1, keys), len(keys))
+        for pair, keys in sorted(_length2_paths(hom1).items())
+    }
+    return Quiver(family, hom1, relators)
 
 
 # -- vertex numbering and rendering ------------------------------------------

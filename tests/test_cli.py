@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import io
 import json
 import subprocess
@@ -236,6 +237,23 @@ def test_cold_warm_and_corrupt_cache(tmp_path):
     assert cold.stdout == warm.stdout
     assert warm.stderr == b""
 
+    # the other exports and an IC-module document read the same from the cache
+    document = tmp_path / "doc.json"
+    document.write_text(json.dumps({
+        "system": {"type": "A", "rank": 2},
+        "stalks": {"e": 1, "1": 1},
+        "boundary": [{"from": "1", "to": "e", "k": 0, "matrix": [["1"]]}],
+    }))
+    for argv in (
+        ("quiver", "--type", "A2", "--format", "text"),
+        ("quiver", "--type", "A2", "--format", "dot"),
+        ("icmod", "validate", str(document)),
+    ):
+        uncached = run_proc(*argv, "--no-cache", env=env)
+        assert uncached.returncode == 0
+        warm = run_proc(*argv, env=env)
+        assert (warm.returncode, warm.stdout, warm.stderr) == (0, uncached.stdout, b"")
+
     # flip one byte inside the cache file: checksum must catch it
     (cache_file,) = (tmp_path / "cache").glob("*.json")
     assert cache_file.name == f"a2-v{cache.ARTIFACT_VERSION}.json"
@@ -276,43 +294,100 @@ def test_cold_warm_and_corrupt_cache(tmp_path):
     assert nocache.stdout == cold.stdout
 
 
-def _cut_first_generator(doc):
-    doc["gens"][0] = doc["gens"][0][:1]
+def _in_module_1(change):
+    def mutate(payload):
+        change(payload["modules"]["1"])
+    return mutate
+
+
+def _push_entry_past_last_row(doc):
+    doc["gens"][0][0][0] = len(doc["degrees"])
 
 
 def _unquote_first_entry(doc):
-    doc["gens"][0][0][0] = 0
+    doc["gens"][0][0][2] = 1
 
 
 def _set_degrees(degrees, gens=None):
-    def mutate(doc):
+    def change(doc):
         doc["degrees"] = degrees
         if gens is not None:
             doc["gens"] = gens
+    return change
+
+
+def _set_multiplicities(counts):
+    def change(doc):
+        doc["multiplicities"] = counts
+    return change
+
+
+def _first_hom1_map(payload):
+    """The first Hom^1 map's triples, with the degrees of its source and target."""
+    y, w, basis = payload["hom1"][0]
+    degrees = [payload["modules"][payload["elements"][v]]["degrees"] for v in (y, w)]
+    return basis[0], degrees[0], degrees[1]
+
+
+def _hom1_pair_out_of_range(payload):
+    payload["hom1"][0][1] = len(payload["elements"])
+
+
+def _hom1_map_too_tall(payload):
+    triples, _, target = _first_hom1_map(payload)
+    triples[0][0] = len(target)
+
+
+def _hom1_entry_off_degree(payload):
+    triples, source, target = _first_hom1_map(payload)
+    q = triples[0][1]
+    triples[0][0] = next(p for p, d in enumerate(target) if d != source[q] + 1)
+
+
+def _first_relator_term(value):
+    def mutate(payload):
+        rows = next(rows for _, _, rows in payload["relators"] if rows)
+        rows[0][0] = value
     return mutate
+
+
+def _drop_last_relator_pair(payload):
+    payload["relators"].pop()
 
 
 @pytest.mark.parametrize(
     "mutate",
     [
-        _cut_first_generator,
-        _set_degrees([0, 0]),
-        _set_degrees(["a", 1]),
-        _set_degrees([], gens=[[], []]),
-        _unquote_first_entry,
+        _in_module_1(_push_entry_past_last_row),
+        _in_module_1(_set_degrees([0, 0])),
+        _in_module_1(_set_degrees(["a", 1])),
+        _in_module_1(_set_degrees([], gens=[[], []])),
+        _in_module_1(_unquote_first_entry),
+        _in_module_1(_set_multiplicities([])),
+        _in_module_1(_set_multiplicities({"e": 0})),
+        _hom1_pair_out_of_range,
+        _hom1_map_too_tall,
+        _hom1_entry_off_degree,
+        _first_relator_term([999, "1"]),
+        _first_relator_term([0, "0"]),
+        _first_relator_term([0, 1]),
+        _drop_last_relator_pair,
     ],
     ids=["generator-not-square", "degrees-not-shifted", "degree-not-int", "no-degrees",
-         "entry-not-string"],
+         "entry-not-string", "multiplicities-list", "multiplicity-zero", "hom1-pair-out-of-range",
+         "hom1-map-too-tall", "hom1-entry-off-degree", "relator-path-out-of-range",
+         "relator-coefficient-zero", "relator-coefficient-not-string", "relator-pair-missing"],
 )
 def test_checksummed_cache_with_malformed_module_is_recomputed(mutate, tmp_path, capsys):
-    # a cache file whose checksum holds but whose module is not shaped like
-    # one must be rebuilt, never trusted (a cut generator gave a wrong quiver)
+    # a cache file whose checksum holds but whose module, Hom^1 basis or
+    # relator is not shaped like one must be rebuilt, never trusted (a cut
+    # generator gave a wrong quiver)
     args = ("quiver", "--type", "A2", "--format", "json", "--cache-dir", str(tmp_path))
     code, cold, _ = run_cli(*args, capsys=capsys)
     assert code == 0
     path = cache.cache_file(tmp_path, "A2")
     envelope = json.loads(path.read_text())
-    mutate(envelope["payload"]["modules"]["1"])
+    mutate(envelope["payload"])
     envelope["checksum"] = cache._checksum(envelope["payload"])
     path.write_text(json.dumps(envelope))
     code, out, err = run_cli(*args, capsys=capsys)
@@ -327,13 +402,13 @@ def test_store_writes_through_a_private_temporary_file(tmp_path):
     pipeline = cache.load_pipeline("A1", no_cache=True)
     path = cache.cache_file(tmp_path, "A1")
     path.with_suffix(".tmp").mkdir()
-    cache.store(path, pipeline.family)
+    cache.store(path, pipeline.quiver)
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
         [path.name, path.with_suffix(".tmp").name]
     )
     restored = cache.load(path, pipeline.group, warn=pytest.fail)
     assert restored is not None
-    assert [m.gens for m in restored[1].modules.values()] == [
+    assert [m.gens for m in restored.family.modules.values()] == [
         m.gens for m in pipeline.family.modules.values()
     ]
 
@@ -394,11 +469,13 @@ def test_malformed_icmodule_document_is_one_error_line(doc, fragment, tmp_path, 
 
 
 @pytest.mark.parametrize("command", ["validate", "cohomology", "dual"])
-@pytest.mark.parametrize("kind", ["not-utf8", "directory"])
+@pytest.mark.parametrize("kind", ["not-utf8", "directory", "nested"])
 def test_unreadable_icmodule_file_is_one_error_line(kind, command, tmp_path, capsys):
     file = tmp_path / "doc.json"
     if kind == "directory":
         file.mkdir()
+    elif kind == "nested":
+        file.write_text("[" * 100000)  # deeper than the JSON decoder recurses
     else:
         file.write_bytes(bytes([0xFF, 0xFE, 0x7B]))
     code, out, err = run_cli("icmod", command, str(file), "--no-cache", capsys=capsys)
@@ -444,3 +521,48 @@ def test_any_json_icmodule_document_exits_0_or_1(doc, command):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             code = main(["icmod", command, str(file), "--no-cache"])
     assert code in (0, 1)
+
+
+@functools.lru_cache(maxsize=1)
+def _a1_quiver_run() -> tuple[str, bytes]:
+    """The stdout of a cold A1 quiver run and the cache file it leaves."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["quiver", "--type", "A1", "--cache-dir", tmp]) == 0
+        return out.getvalue(), cache.cache_file(Path(tmp), "A1").read_bytes()
+
+
+@st.composite
+def cache_file_bytes(draw):
+    """Arbitrary bytes, deeply nested brackets, arbitrary JSON, or the real
+    A1 cache file with a slice replaced by arbitrary bytes."""
+    kind = draw(st.sampled_from(["bytes", "nested", "json", "spliced"]))
+    if kind == "bytes":
+        return draw(st.binary(max_size=64))
+    if kind == "nested":  # past the JSON decoder's recursion limit, from some depth on
+        return b"[" * draw(st.integers(1, 5000))
+    if kind == "json":
+        return json.dumps(draw(json_values)).encode()
+    original = _a1_quiver_run()[1]
+    start = draw(st.integers(0, len(original)))
+    end = draw(st.integers(start, min(len(original), start + 8)))
+    return original[:start] + draw(st.binary(max_size=8)) + original[end:]
+
+
+@settings(max_examples=100, deadline=None)
+@given(cache_file_bytes())
+def test_any_cache_file_bytes_give_the_cold_quiver(blob):
+    cold, _ = _a1_quiver_run()
+    with tempfile.TemporaryDirectory() as tmp:
+        cache.cache_file(Path(tmp), "A1").write_bytes(blob)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["quiver", "--type", "A1", "--cache-dir", tmp])
+    assert code == 0
+    assert out.getvalue() == cold
+    warning = err.getvalue()
+    assert warning == "" or (
+        warning.startswith("warning: cache a1-v") and warning.endswith("; recomputing\n")
+        and warning.count("\n") == 1
+    )

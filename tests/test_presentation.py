@@ -5,9 +5,10 @@ import gc
 import pytest
 
 from commutant import commutant_hom_basis
-from oquiver import soergel
+from oquiver import homspace, icmod, soergel
 from oquiver.cache import load_pipeline
 from oquiver.icmod import ICModule, _dual_module, verdier_dual
+from oquiver.quiver import to_json_doc
 from oquiver.rootsystem import build, generate_weyl
 from oquiver.schubert import build_ring
 from oquiver.soergel import (
@@ -119,6 +120,33 @@ def test_each_presentation_is_built_once(monkeypatch):
     q = load_pipeline("A3", no_cache=True).quiver
     verdier_dual(q, ICModule({}, {}))
     assert len(built) == 24
+
+
+def test_warm_pipeline_solves_nothing(tmp_path, monkeypatch):
+    # the cache holds the Hom^1 bases and relators, so a warm pipeline and
+    # its export build no presentation and solve no Hom space (576 solves
+    # when the quiver was rebuilt from the cached modules)
+    load_pipeline("A3", cache_dir=tmp_path)
+    calls = []
+    init = soergel.Presentation.__init__
+
+    def counting_init(self, ring, module):
+        calls.append("presentation")
+        init(self, ring, module)
+
+    def counting_solve(solve):
+        def wrapper(*args):
+            calls.append("hom")
+            return solve(*args)
+        return wrapper
+
+    monkeypatch.setattr(soergel.Presentation, "__init__", counting_init)
+    for module in (soergel, homspace, icmod):
+        monkeypatch.setattr(module, "graded_hom_basis", counting_solve(module.graded_hom_basis))
+    q = load_pipeline("A3", cache_dir=tmp_path, warn=pytest.fail).quiver
+    q.relators()
+    to_json_doc(q)
+    assert calls == []
 
 
 def test_hom_solve_leaves_no_reference_cycle():
