@@ -3,7 +3,7 @@ of BGG category O, with an intersection-cohomology module toolkit."""
 
 from .cache import Pipeline, load_pipeline
 from .homspace import HomBasis, hom_basis
-from .icmod import ICModule, QuiverRep, from_quiver_rep, total_cohomology, validate, verdier_dual
+from .icmod import ICModule, total_cohomology, validate, verdier_dual
 from .kl import ih_poincare, kl_polynomial, mu
 from .linalg import QMatrix, in_span, nullspace, rref, solve
 from .quiver import PathCombo, Quiver, build_quiver

@@ -49,6 +49,23 @@ class CacheUnusable(OSError):
     """The cache directory cannot be created or written."""
 
 
+class UnreadableJSON(ValueError):
+    """A file exists but cannot be read and decoded as JSON."""
+
+
+def read_json(path: Path):
+    """The decoded content of a JSON file (a cache file or an IC-module
+    document).  A missing file raises FileNotFoundError; any other failure,
+    from bytes that are not UTF-8 to an integer literal past Python's digit
+    limit or nesting past the decoder's recursion, raises UnreadableJSON."""
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except FileNotFoundError:
+        raise
+    except (OSError, ValueError, RecursionError) as exc:
+        raise UnreadableJSON(f"{path.name} unreadable ({exc})") from None
+
+
 def default_cache_dir() -> Path:
     env = os.environ.get(ENV_CACHE_DIR)
     if env:
@@ -234,11 +251,11 @@ def store(path: Path, q: Quiver) -> None:
 
 def load(path: Path, group: WeylGroup, warn: Callable[[str], None]) -> Quiver | None:
     try:
-        envelope = json.loads(path.read_text(encoding="utf-8"))
+        envelope = read_json(path)
     except FileNotFoundError:
         return None
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
-        warn(f"cache {path.name} unreadable ({exc}); recomputing")
+    except UnreadableJSON as exc:
+        warn(f"cache {exc}; recomputing")
         return None
     if not isinstance(envelope, dict):
         warn(f"cache {path.name} malformed (not a JSON object); recomputing")
@@ -302,7 +319,7 @@ def module_doc(pipeline: Pipeline, w) -> dict:
     derived from the generator matrices."""
     g = pipeline.group
     module = pipeline.family.modules[w.idx]
-    actions = derived_actions(pipeline.ring, module.gens, QMatrix.identity(module.dim))
+    actions = derived_actions(pipeline.ring, module.gens)
     return {
         "system": {"type": g.rootsystem.type_label, "rank": g.rootsystem.rank},
         "element": str(w),

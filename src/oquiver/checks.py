@@ -39,39 +39,37 @@ def _need(cond: bool, message: str) -> None:
         raise CheckFailure(message)
 
 
-# -- random representations -----------------------------------------------------
+# -- random IC modules, read as quiver representations ----------------------------
 
 
-def semisimple_rep(q: Quiver, rng: random.Random) -> icmod.QuiverRep:
+def semisimple_rep(q: Quiver, rng: random.Random) -> icmod.ICModule:
     dims = {w.idx: rng.randint(0, 2) for w in q.group.elements}
     if not any(dims.values()):
         dims[rng.randrange(len(q.group))] = 1
-    return icmod.QuiverRep(dims, {})
+    return icmod.ICModule(dims, {})
 
 
-def one_way_rep(q: Quiver, rng: random.Random) -> icmod.QuiverRep:
+def one_way_rep(q: Quiver, rng: random.Random) -> icmod.ICModule:
     """One nonzero map on a single arrow: valid since no length-2 path survives."""
     arrow = rng.choice(q.arrows)
     y, w = arrow.source.idx, arrow.target.idx
-    dims = {y: 1, w: 1}
-    maps = {(y, w, arrow.index): QMatrix([[rng.choice([1, 2, -1])]])}
-    return icmod.QuiverRep(dims, maps)
+    maps = [(arrow.index, QMatrix([[rng.choice([1, 2, -1])]]))]
+    return icmod.ICModule({y: 1, w: 1}, {(y, w): maps})
 
 
-def generic_rep(q: Quiver, rng: random.Random, max_dim: int = 2) -> icmod.QuiverRep:
+def generic_rep(q: Quiver, rng: random.Random, max_dim: int = 2) -> icmod.ICModule:
     dims = {w.idx: rng.randint(0, max_dim) for w in q.group.elements}
-    maps = {}
+    boundary: dict[tuple[int, int], list[tuple[int, QMatrix]]] = {}
     for arrow in q.arrows:
-        dy, dw = dims[arrow.source.idx], dims[arrow.target.idx]
-        if dy and dw and rng.random() < 0.8:
-            maps[(arrow.source.idx, arrow.target.idx, arrow.index)] = QMatrix(
-                [[rng.randint(-2, 2) for _ in range(dy)] for _ in range(dw)]
-            )
-    return icmod.QuiverRep(dims, maps)
+        y, w = arrow.source.idx, arrow.target.idx
+        if dims[y] and dims[w] and rng.random() < 0.8:
+            mat = QMatrix([[rng.randint(-2, 2) for _ in range(dims[y])] for _ in range(dims[w])])
+            boundary.setdefault((y, w), []).append((arrow.index, mat))
+    return icmod.ICModule(dims, boundary)
 
 
-def sample_reps(q: Quiver, seed: int, count: int) -> list[icmod.QuiverRep]:
-    """A mix of valid-by-construction and generic representations."""
+def sample_reps(q: Quiver, seed: int, count: int) -> list[icmod.ICModule]:
+    """A mix of valid-by-construction and generic modules."""
     rng = random.Random(seed)
     out = []
     for n in range(count):
@@ -157,7 +155,7 @@ def check_module_composition(family, rng: random.Random, samples: int = 20) -> N
         w = rng.choice(g.elements)
         u, v = rng.choice(g.elements), rng.choice(g.elements)
         m = family[w]
-        actions = derived_actions(ring, m.gens, QMatrix.identity(m.dim))
+        actions = derived_actions(ring, m.gens)
         left = actions[u.idx] * actions[v.idx]
         _need(left == actions[v.idx] * actions[u.idx], f"actions on V[{w}] do not commute")
         _need(
@@ -233,11 +231,11 @@ def check_relator_homogeneity(q: Quiver) -> None:
 
 
 def check_prop36(q: Quiver, seed: int, count: int = 200) -> tuple[int, int]:
-    """Relator annihilation must coincide with d^2 = 0, rep by rep."""
+    """Relator annihilation must coincide with d^2 = 0, module by module."""
     valid = invalid = 0
-    for n, rep in enumerate(sample_reps(q, seed, count)):
-        by_relators = icmod.rep_satisfies_relations(q, rep)
-        by_d2 = icmod.validate(q, icmod.from_quiver_rep(q, rep))
+    for n, m in enumerate(sample_reps(q, seed, count)):
+        by_relators = icmod.rep_satisfies_relations(q, m)
+        by_d2 = icmod.validate(q, m)
         _need(
             by_relators == by_d2,
             f"sample {n}: relators say {by_relators} but d^2 says {by_d2}",
@@ -251,8 +249,7 @@ def check_prop36(q: Quiver, seed: int, count: int = 200) -> tuple[int, int]:
 
 
 def check_verdier_involution(q: Quiver, seed: int, count: int = 50) -> None:
-    for n, rep in enumerate(sample_reps(q, seed, count)):
-        m = icmod.from_quiver_rep(q, rep)
+    for n, m in enumerate(sample_reps(q, seed, count)):
         dual = icmod.verdier_dual(q, m)
         _need(icmod.verdier_dual(q, dual) == m, f"sample {n}: D(D(m)) != m")
         _need(

@@ -41,9 +41,8 @@ DOMAIN_ERRORS = (
     icmod_ops.ShapeError,
     icmod_ops.InvalidModule,
     cache_mod.CacheUnusable,
-    OSError,  # an input file that is missing, a directory or unreadable
-    UnicodeDecodeError,
-    json.JSONDecodeError,
+    cache_mod.UnreadableJSON,
+    OSError,  # a missing input file, or an --out file that cannot be written
 )
 
 
@@ -60,9 +59,10 @@ def _add_cache_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--no-cache", action="store_true", help="recompute everything, touch no cache files")
 
 
-def _pipeline(args) -> cache_mod.Pipeline:
+def _pipeline(args, name: str | None = None) -> cache_mod.Pipeline:
+    """The pipeline of `name`, by default the `--type` flag's."""
     return cache_mod.load_pipeline(
-        args.type,
+        name or args.type,
         cache_dir=args.cache_dir,
         no_cache=args.no_cache,
         warn=_warn,
@@ -177,16 +177,8 @@ def cmd_check(args) -> int:
 
 
 def _load_icmodule(args):
-    try:
-        doc = json.loads(Path(args.file).read_text(encoding="utf-8"))
-    except RecursionError:
-        raise icmod_ops.ShapeError("document is nested too deeply to read") from None
-    pipeline = cache_mod.load_pipeline(
-        icmod_ops.document_type(doc),
-        cache_dir=args.cache_dir,
-        no_cache=args.no_cache,
-        warn=_warn,
-    )
+    doc = cache_mod.read_json(Path(args.file))
+    pipeline = _pipeline(args, icmod_ops.document_type(doc))
     return pipeline, icmod_ops.icmodule_from_doc(pipeline.quiver, doc)
 
 

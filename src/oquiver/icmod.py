@@ -6,15 +6,16 @@ complex axiom d^2 = 0 for the assembled total differential
 
     d = sum over pairs of  sum_k  A^k_{y,w} (x) B^k : (+)_w V_w (x) M_w.
 
-Representations of the quiver with the same shape data are exactly the
-same thing: the translation in either direction is the identity on data.
+An IC-module is its own representation of the quiver: stalks are the
+vertex spaces, and the term (k, matrix) on pair (y, w) is the map on arrow
+k of y -> w.
 Verdier duality dualizes stalks and transposes boundary maps against the
 self-duality of each V_w, with no extra signs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
 from fractions import Fraction
 
 from .linalg import QMatrix, Row, canonical_basis, format_rational, in_span, parse_rational, rank
@@ -62,17 +63,6 @@ class ICModule:
         if not isinstance(other, ICModule):
             return NotImplemented
         return self.stalks == other.stalks and self.boundary == other.boundary
-
-
-@dataclass
-class QuiverRep:
-    """A representation of the free path algebra: no relations imposed."""
-
-    vertex_dims: dict[int, int]
-    arrow_maps: dict[tuple[int, int, int], QMatrix] = field(default_factory=dict)
-
-    def dim(self, idx: int) -> int:
-        return self.vertex_dims.get(idx, 0)
 
 
 def _check_shapes(q: Quiver, m: ICModule) -> None:
@@ -162,60 +152,23 @@ def euler_characteristic(dims: dict[int, int]) -> int:
     return sum((-1) ** (n % 2) * d for n, d in dims.items())
 
 
-# -- the dictionary with quiver representations --------------------------------
+# -- the module as a quiver representation -------------------------------------
 
 
-def _check_rep(q: Quiver, rep: QuiverRep) -> None:
-    for (y, w, k), mat in rep.arrow_maps.items():
-        narrows = len(q.hom1.get((y, w), ()))
-        if k >= narrows:
-            raise ShapeError(f"no arrow #{k} from {y} to {w}")
-        if mat.rows != rep.dim(w) or mat.cols != rep.dim(y):
-            raise ShapeError(
-                f"arrow map ({y}, {w}, {k}) is {mat.rows}x{mat.cols}, "
-                f"expected {rep.dim(w)}x{rep.dim(y)}"
-            )
-
-
-def from_quiver_rep(q: Quiver, rep: QuiverRep) -> ICModule:
-    """Vertex spaces become stalks, arrow maps become boundary terms."""
-    _check_rep(q, rep)
-    boundary: dict[tuple[int, int], list[tuple[int, QMatrix]]] = {}
-    for (y, w, k), mat in rep.arrow_maps.items():
-        boundary.setdefault((y, w), []).append((k, mat))
-    return ICModule(dict(rep.vertex_dims), boundary)
-
-
-def to_quiver_rep(q: Quiver, m: ICModule) -> QuiverRep:
-    maps = {}
-    for (y, w), terms in m.boundary.items():
-        for k, mat in terms:
-            maps[(y, w, k)] = mat
-    return QuiverRep(dict(m.stalks), maps)
-
-
-def rep_satisfies_relations(q: Quiver, rep: QuiverRep) -> bool:
-    """Evaluate every relator on the representation; True iff all act by zero."""
-    _check_rep(q, rep)
-
-    def arrow_map(y: int, w: int, k: int) -> QMatrix | None:
-        mat = rep.arrow_maps.get((y, w, k))
-        if mat is not None and not mat.is_zero():
-            return mat
-        return None
-
+def rep_satisfies_relations(q: Quiver, m: ICModule) -> bool:
+    """Evaluate every relator on the module read as a quiver representation;
+    True iff all act by zero."""
+    _check_shapes(q, m)
+    maps = {(y, w, k): mat for (y, w), terms in m.boundary.items() for k, mat in terms}
     for (y, w), combos in q.relators().items():
-        dy, dw = rep.dim(y), rep.dim(w)
-        if dy == 0 or dw == 0:
-            continue
+        if not (m.stalk_dim(y) and m.stalk_dim(w)):
+            continue  # no map starts at y or ends at w
         for combo in combos:
-            acc = QMatrix.zeros(dw, dy)
+            acc = QMatrix.zeros(m.stalk_dim(w), m.stalk_dim(y))
             for (_, j, z, i, _), coeff in combo.terms.items():
-                first = arrow_map(y, z, j)
-                second = arrow_map(z, w, i)
-                if first is None or second is None or rep.dim(z) == 0:
-                    continue
-                acc = acc + (second * first).scale(coeff)
+                first, second = maps.get((y, z, j)), maps.get((z, w, i))
+                if first is not None and second is not None:
+                    acc = acc + (second * first).scale(coeff)
             if not acc.is_zero():
                 return False
     return True
@@ -240,15 +193,10 @@ def _dual_module(module: GradedModule) -> GradedModule:
     )
 
 
-def _duality_isos(q: Quiver) -> list[QMatrix]:
-    """Degree-0 isomorphisms V_w -> V_w* realizing Poincare self-duality.
-
-    Computed once per quiver, together with their inverses, which are kept
-    as `q._duality_inverses`.
-    """
-    cached = getattr(q, "_duality_isos", None)
-    if cached is not None:
-        return cached
+@functools.lru_cache(maxsize=1)
+def _duality_isos(q: Quiver) -> tuple[list[QMatrix], list[QMatrix]]:
+    """Degree-0 isomorphisms V_w -> V_w* realizing Poincare self-duality, and
+    their inverses; kept for the last quiver only (it hashes by identity)."""
     isos = []
     for w in q.group.elements:
         module = q.family.modules[w.idx]
@@ -258,9 +206,7 @@ def _duality_isos(q: Quiver) -> list[QMatrix]:
                 f"self-duality pairing of V[{w}] is not unique and invertible"
             )
         isos.append(maps[0])
-    q._duality_inverses = [_invert(phi) for phi in isos]
-    q._duality_isos = isos
-    return isos
+    return isos, [_invert(phi) for phi in isos]
 
 
 def _entries(m: QMatrix) -> Row:
@@ -272,8 +218,7 @@ def verdier_dual(q: Quiver, m: ICModule) -> ICModule:
     """Dual stalks; boundary (y, w) is the graded transpose of boundary (w, y),
     re-expressed in the canonical Hom^1 bases.  No sign is introduced."""
     _check_shapes(q, m)
-    isos = _duality_isos(q)
-    inverses = q._duality_inverses
+    isos, inverses = _duality_isos(q)
     boundary: dict[tuple[int, int], list[tuple[int, QMatrix]]] = {}
     for (w, y), terms in m.boundary.items():
         # the stored pair maps stalk w -> stalk y; the dual pair is (y, w)

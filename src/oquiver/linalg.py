@@ -14,6 +14,7 @@ entry, and a matrix is a tuple of Rows.  Zeros are never stored.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
@@ -35,9 +36,16 @@ def format_rational(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
 def parse_rational(s: str) -> Fraction:
-    """Inverse of :func:`format_rational`."""
-    return Fraction(s.strip())
+    """Inverse of :func:`format_rational`: only the forms "p" and "p/q", so
+    an exponent like "1e10000000" never builds its integer."""
+    match = _RATIONAL.fullmatch(s)
+    if match is None:
+        raise ValueError(f'{s!r} is not a rational like "p" or "p/q"')
+    return Fraction(int(match[1]), int(match[2] or 1))
 
 
 class QMatrix:

@@ -16,8 +16,9 @@ derived data, not the identity of an element.  Generator indices are
 
 from __future__ import annotations
 
+import math
+import re
 from fractions import Fraction
-from functools import reduce
 from typing import Iterable, Sequence
 
 QQ = Fraction
@@ -41,19 +42,26 @@ class MixedGroups(ValueError):
 #: hard bound on |W|; keeps E-series monsters out without hardcoding types
 MAX_GROUP_ORDER = 50000
 
-_FACT = [1]
-for _n in range(1, 13):
-    _FACT.append(_FACT[-1] * _n)
+#: per type label, the ranks the type has and the rule naming them
+_RANKS = {
+    "A": (lambda n: n >= 1, "A_n needs n >= 1"),
+    "B": (lambda n: n >= 2, "B_n needs n >= 2"),
+    "C": (lambda n: n >= 3, "C_n needs n >= 3"),
+    "D": (lambda n: n >= 4, "D_n needs n >= 4"),
+    "E": (lambda n: n in (6, 7, 8), "E_n needs n in {6, 7, 8}"),
+    "F": (lambda n: n == 4, "F_n needs n = 4"),
+    "G": (lambda n: n == 2, "G_n needs n = 2"),
+}
 
 
 def weyl_order(label: str, rank: int) -> int:
     """|W| from the classical order formulas, per type."""
     if label == "A":
-        return _FACT[rank + 1] if rank + 1 < len(_FACT) else reduce(int.__mul__, range(1, rank + 2))
+        return math.factorial(rank + 1)
     if label in ("B", "C"):
-        return 2**rank * reduce(int.__mul__, range(1, rank + 1))
+        return 2**rank * math.factorial(rank)
     if label == "D":
-        return 2 ** (rank - 1) * reduce(int.__mul__, range(1, rank + 1))
+        return 2 ** (rank - 1) * math.factorial(rank)
     if label == "E":
         return {6: 51840, 7: 2903040, 8: 696729600}[rank]
     if label == "F":
@@ -63,12 +71,23 @@ def weyl_order(label: str, rank: int) -> int:
     raise InvalidRootSystem(label)
 
 
-def _chain_edges(rank: int) -> list[tuple[int, int]]:
-    return [(i, i + 1) for i in range(rank - 1)]
+def check_type(label: str, rank: int) -> None:
+    """Refuse an unknown type or a Weyl group above MAX_GROUP_ORDER from
+    (label, rank) alone; |W| >= 2^rank, so a long rank's order is not computed."""
+    if label not in _RANKS:
+        raise InvalidRootSystem(f"unknown type label {label!r}")
+    allowed, rule = _RANKS[label]
+    if not allowed(rank):
+        raise InvalidRootSystem(rule)
+    order = weyl_order(label, rank) if rank < MAX_GROUP_ORDER.bit_length() else None
+    if order is None or order > MAX_GROUP_ORDER:
+        shown = f"= {order}" if order else f">= 2^{rank}"
+        raise GroupTooLarge(f"|W({label}{rank})| {shown} exceeds the supported bound {MAX_GROUP_ORDER}")
 
 
 def _cartan_and_symmetrizer(label: str, rank: int) -> tuple[list[list[int]], list[Fraction]]:
-    """Cartan matrix and d_i for the simple types (Bourbaki numbering)."""
+    """Cartan matrix and d_i for a simple type that `check_type` accepts
+    (Bourbaki numbering)."""
     n = rank
     a = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
 
@@ -76,55 +95,30 @@ def _cartan_and_symmetrizer(label: str, rank: int) -> tuple[list[list[int]], lis
         a[i][j] = aij
         a[j][i] = aji
 
-    if label == "A":
-        if n < 1:
-            raise InvalidRootSystem("A_n needs n >= 1")
-        for i, j in _chain_edges(n):
-            bond(i, j)
-        d = [QQ(1)] * n
-    elif label == "B":
-        if n < 2:
-            raise InvalidRootSystem("B_n needs n >= 2")
-        for i, j in _chain_edges(n - 1):
-            bond(i, j)
+    d = [QQ(1)] * n
+    if label in "ABCD":  # a chain, closed off by the last node outside A
+        for i in range(n - 1 if label == "A" else n - 2):
+            bond(i, i + 1)
+    if label == "B":
         bond(n - 2, n - 1, -1, -2)  # alpha_n short
-        d = [QQ(1)] * (n - 1) + [QQ(1, 2)]
+        d[-1] = QQ(1, 2)
     elif label == "C":
-        if n < 3:
-            raise InvalidRootSystem("C_n needs n >= 3")
-        for i, j in _chain_edges(n - 1):
-            bond(i, j)
         bond(n - 2, n - 1, -2, -1)  # alpha_n long
-        d = [QQ(1)] * (n - 1) + [QQ(2)]
+        d[-1] = QQ(2)
     elif label == "D":
-        if n < 4:
-            raise InvalidRootSystem("D_n needs n >= 4")
-        for i, j in _chain_edges(n - 1):
-            bond(i, j)
         bond(n - 3, n - 1)  # fork
-        d = [QQ(1)] * n
     elif label == "E":
-        if n not in (6, 7, 8):
-            raise InvalidRootSystem("E_n needs n in {6, 7, 8}")
-        edges = [(0, 2), (1, 3), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7)]
-        for i, j in edges:
-            if i < n and j < n:
+        for i, j in [(0, 2), (1, 3), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7)]:
+            if j < n:
                 bond(i, j)
-        d = [QQ(1)] * n
     elif label == "F":
-        if n != 4:
-            raise InvalidRootSystem("F_n needs n = 4")
         bond(0, 1)
         bond(1, 2, -1, -2)  # alpha_3, alpha_4 short
         bond(2, 3)
         d = [QQ(1), QQ(1), QQ(1, 2), QQ(1, 2)]
     elif label == "G":
-        if n != 2:
-            raise InvalidRootSystem("G_n needs n = 2")
         bond(0, 1, -3, -1)  # alpha_1 short, alpha_2 long
         d = [QQ(1), QQ(3)]
-    else:
-        raise InvalidRootSystem(f"unknown type label {label!r}")
     return a, d
 
 
@@ -204,17 +198,27 @@ def _positive_root_closure(cartan: Sequence[Sequence[int]]) -> list[RootVec]:
 
 def parse_type(text: str) -> tuple[str, int]:
     """Parse "A2", "b2", "G 2" into (label, rank)."""
-    t = text.strip().replace(" ", "").replace("_", "").upper()
-    if len(t) < 2 or t[0] not in "ABCDEFG" or not t[1:].isdigit():
+    match = re.fullmatch(r"([A-G])0*([0-9]+)", text.strip().replace(" ", "").replace("_", "").upper())
+    if match is None:
         raise InvalidRootSystem(f"cannot parse root system type {text!r}")
-    return t[0], int(t[1:])
+    label, digits = match.groups()
+    if len(digits) > 9:
+        # |W| >= 2^rank is past every bound; int() of a long digit string is slow or refused
+        if label in "EFG":
+            raise InvalidRootSystem(_RANKS[label][1])
+        raise GroupTooLarge(f"|W({label}n)| for a {len(digits)}-digit n exceeds the supported bound {MAX_GROUP_ORDER}")
+    return label, int(digits)
 
 
 def build(type_label: str, rank: int | None = None) -> RootSystem:
-    """Validated root system for a simple type, e.g. build("A", 2) or build("A2")."""
+    """Validated root system for a simple type, e.g. build("A", 2) or build("A2").
+
+    The type and the |W| bound are checked before any root data is built.
+    """
     if rank is None:
         type_label, rank = parse_type(type_label)
     label = type_label.strip().upper()
+    check_type(label, rank)
     cartan, d = _cartan_and_symmetrizer(label, rank)
     roots = _positive_root_closure(cartan)
     return RootSystem(label, rank, cartan, d, roots)
@@ -278,11 +282,8 @@ class WeylGroup:
 
     def __init__(self, rootsystem: RootSystem):
         self.rootsystem = rootsystem
+        check_type(rootsystem.type_label, rootsystem.rank)
         order = weyl_order(rootsystem.type_label, rootsystem.rank)
-        if order > MAX_GROUP_ORDER:
-            raise GroupTooLarge(
-                f"|W({rootsystem.name})| = {order} exceeds the supported bound {MAX_GROUP_ORDER}"
-            )
         self._generate()
         if len(self.elements) != order:
             raise InvalidRootSystem(  # pragma: no cover - internal self-check

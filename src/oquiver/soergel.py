@@ -25,8 +25,9 @@ Every Hom space is solved through a presentation of the source: a module
 map is fixed by the images of the 1-3 generators of the source, subject to
 its relations, so the unknowns are those images rather than every matrix
 entry of the degree band.  A module's presentation is built once and stays
-on the module; the action columns of a target are memoized for one target
-at a time, so a sweep that runs target-major builds them once per target.
+on the module.  The action columns of one module at a time are memoized;
+they serve a Hom target and the orbits of presentations and `extract_top`,
+so a sweep that runs target-major builds them once per target.
 
 Degrees are symmetric around 0: V_w lives in [-l(w), l(w)] with parity
 l(w) mod 2, and sigma_v shifts degree by +2 l(v).
@@ -75,31 +76,26 @@ def _scaled(rows: Iterable[Row], d: int) -> list[dict[int, int]]:
     return [{j: v.numerator * (d // v.denominator) for j, v in row.items()} for row in rows]
 
 
-def derived_actions(
-    ring: CohRing, gens: Sequence[QMatrix], start: QMatrix, top: int | None = None
-) -> list[QMatrix]:
-    """sigma_v . start for every v in element order, up to length `top`
-    (all of W by default), from the generator matrices alone through the
-    ring's expressions sigma_u = sum c . sigma_{s_i} . sigma_{u'}.
+def derived_actions(ring: CohRing, gens: Sequence[QMatrix], top: int | None = None) -> list[QMatrix]:
+    """The action matrix of sigma_v for every v in element order, up to
+    length `top` (all of W by default), from the generator matrices alone
+    through the ring's expressions sigma_u = sum c . sigma_{s_i} . sigma_{u'}.
 
-    With `start` the identity these are the action matrices of the classes;
-    with a single column they are that vector's orbit.
-
-    The recursion runs over the integers.  With d_s, d_c and d_g clearing
-    the denominators of `start`, of the expression coefficients and of the
-    generator matrices, S_u = d_s (d_c d_g)^l(u) sigma_u . start is integral
-    and S_u = sum (d_c c) (d_g sigma_{s_i}) S_{u'}.
+    The recursion runs over the integers.  With d_c and d_g clearing the
+    denominators of the expression coefficients and of the generator
+    matrices, S_u = (d_c d_g)^l(u) sigma_u is integral and
+    S_u = sum (d_c c) (d_g sigma_{s_i}) S_{u'}.
     """
+    dim = gens[0].cols
     elements = [u for u in ring.group.elements if top is None or u.length <= top]
     terms = [ring.expressions[u.idx] for u in elements]
-    d_start = _common_denominator(v for row in start.data for v in row.values())
     d_coeff = _common_denominator(c for expr in terms for _, _, c in expr)
     d_gen = _common_denominator(v for a in gens for row in a.data for v in row.values())
     int_gens = [_scaled(a.data, d_gen) for a in gens]
-    scaled = [_scaled(start.data, d_start)]
-    out = [start]
+    scaled = [[{j: 1} for j in range(dim)]]
+    out = [QMatrix.identity(dim)]
     for u, expr in zip(elements[1:], terms[1:]):
-        acc: list[dict[int, int]] = [{} for _ in range(start.rows)]
+        acc: list[dict[int, int]] = [{} for _ in range(dim)]
         for i, up_idx, coeff in expr:
             c = coeff.numerator * (d_coeff // coeff.denominator)
             right = scaled[up_idx]
@@ -110,9 +106,9 @@ def derived_actions(
                         target[j] = target.get(j, 0) + ca * b
         acc = [{j: v for j, v in row.items() if v} for row in acc]
         scaled.append(acc)
-        denominator = d_start * (d_coeff * d_gen) ** u.length
+        denominator = (d_coeff * d_gen) ** u.length
         out.append(QMatrix.from_rows(
-            ({j: QQ(v, denominator) for j, v in row.items()} for row in acc), start.cols
+            ({j: QQ(v, denominator) for j, v in row.items()} for row in acc), dim
         ))
     return out
 
@@ -145,7 +141,7 @@ def extend(ring: CohRing, i: int, module: GradedModule) -> GradedModule:
         degrees.extend((d - 1, d + 1))
 
     # the split parts below have degree <= 2, so classes up to length 2 suffice
-    low = derived_actions(ring, module.gens, QMatrix.identity(module.dim), top=2)
+    low = derived_actions(ring, module.gens, top=2)
 
     si = g.simple(i)
     gens: list[QMatrix] = []
@@ -174,9 +170,10 @@ class Presentation:
 
     The generators g_k are the unit basis vectors outside sum_i sigma_{s_i}
     M, which generate M by Nakayama; `gen_degrees` holds their degrees.
-    The orbit vectors sigma_v g_k are kept up to one length past the top
-    degree, so the first vanishing level is present: a deeper sigma_v is a
-    combination of sigma_{s_i} sigma_{u'} with sigma_{u'} g_k already zero.
+    The orbit vectors sigma_v g_k (action columns) are kept up to one length
+    past the top degree, so the first vanishing level is present: a deeper
+    sigma_v is a combination of sigma_{s_i} sigma_{u'} with sigma_{u'} g_k
+    already zero.
     `relations` are the linear dependencies among the orbit vectors (a zero
     orbit vector is the relation sigma_v g_k = 0), each with its degree,
     and `expressions` writes every basis vector of M over the orbit
@@ -196,17 +193,18 @@ class Presentation:
         self.gen_degrees = tuple(module.degrees[q] for q in generators)
 
         top = max(module.degrees)
-        elements = ring.group.elements
+        columns = _action_cols(ring, module)
         self.orbit: list[tuple[int, int]] = []
         self.relations: list[tuple[int, Row]] = []
         span = RowSpan(dim, track=True)  # fed every orbit vector, so gen index = orbit index
         for k, q in enumerate(generators):
-            unit = QMatrix.from_rows([{0: QQ(1)} if n == q else {} for n in range(dim)], 1)
             level = (top - module.degrees[q]) // 2 + 1
-            for v, image_v in zip(elements, derived_actions(ring, module.gens, unit, top=level)):
+            for v in ring.group.elements:
+                if v.length > level:
+                    break
                 j = len(self.orbit)
                 self.orbit.append((v.idx, k))
-                combo = span.insert(image_v.col(0))
+                combo = span.insert(columns[v.idx][q] if v.idx < len(columns) else {})
                 if combo is not None:
                     relation = {n: -c for n, c in combo.items()}
                     relation[j] = QQ(1)
@@ -230,14 +228,14 @@ def presentation(ring: CohRing, module: GradedModule) -> Presentation:
 @functools.lru_cache(maxsize=1)
 def _action_cols(ring: CohRing, module: GradedModule) -> tuple[tuple[Row, ...], ...]:
     """The columns of sigma_v on the module for every v that can act nonzero
-    (2 l(v) at most the degree span).
+    (2 l(v) at most the degree span); a longer sigma_v acts by zero.
 
-    Only the last target's columns are kept (both arguments hash by
+    Only the last module's columns are kept (both arguments hash by
     identity), so sweeps that solve many sources against one target should
     run target-major.
     """
     span = (max(module.degrees) - min(module.degrees)) // 2
-    actions = derived_actions(ring, module.gens, QMatrix.identity(module.dim), top=span)
+    actions = derived_actions(ring, module.gens, top=span)
     return tuple(a.transpose().data for a in actions)
 
 
@@ -418,16 +416,17 @@ def extract_top(
             )
         return module, {}
 
-    # Step 2: grow a complement basis from cyclic orbits of leftover vectors.
+    # Step 2: grow a complement basis from cyclic orbits of leftover vectors;
+    # the cover's action columns are the memo's entry from the solves above.
+    columns = _action_cols(ring, module)
     chosen: list[Row] = []
     for x_idx in range(dim):
         if span.rank == dim:
             break
         if span.contains({x_idx: QQ(1)}):
             continue
-        unit = QMatrix.from_rows([{0: QQ(1)} if k == x_idx else {} for k in range(dim)], 1)
-        for image in derived_actions(ring, module.gens, unit):
-            vec = image.col(0)
+        for action in columns:
+            vec = action[x_idx]
             if vec and span.add(vec):
                 chosen.append(vec)
     if span.rank != dim:  # pragma: no cover - internal self-check

@@ -1,5 +1,6 @@
 import contextlib
 import functools
+import hashlib
 import io
 import json
 import subprocess
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oquiver import cache
+from oquiver import cache, rootsystem
 from oquiver.cli import main
 from oquiver.icmod import icmodule_from_doc
 from oquiver.quiver import parse_relations
@@ -144,6 +145,36 @@ def test_unknown_type_is_domain_error(capsys):
     code, _, err = run_cli("weyl", "--type", "Z9", capsys=capsys)
     assert code == 1
     assert "error:" in err
+
+
+@pytest.mark.parametrize(
+    "name,fragment",
+    [("A8", "= 362880 exceeds"), ("B7", "= 645120 exceeds"), ("E6", "= 51840 exceeds"),
+     ("A1000", ">= 2^1000 exceeds"), ("A1000000000000", "13-digit n exceeds"),
+     ("A" + "1" * 4301, "4301-digit n exceeds"), ("E9", "E_n needs n in {6, 7, 8}"),
+     ("E" + "1" * 4301, "E_n needs n in {6, 7, 8}")],
+    ids=["A8", "B7", "E6", "A1000", "A10^12", "4301-digit", "E9", "E-4301-digit"],
+)
+def test_group_bound_is_decided_before_any_root_data(name, fragment, monkeypatch, capsys):
+    # building A1000's Cartan matrix and roots would take hours, so refuse
+    # from (type, rank) alone: any root data built here fails the test
+    def refuse(*args):
+        raise AssertionError("root data built for a type past the bound")
+
+    monkeypatch.setattr(rootsystem, "_cartan_and_symmetrizer", refuse)
+    monkeypatch.setattr(rootsystem, "_positive_root_closure", refuse)
+    code, out, err = run_cli("weyl", "--type", name, capsys=capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and fragment in err
+
+
+def test_document_rank_past_the_bound_is_one_error_line(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(rootsystem, "_positive_root_closure", pytest.fail)
+    file = tmp_path / "doc.json"
+    file.write_text(json.dumps({"system": {"type": "A", "rank": 1000}, "stalks": {}}))
+    code, out, err = run_cli("icmod", "validate", str(file), "--no-cache", capsys=capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: |W(A1000)| >= 2^1000 exceeds the supported bound 50000\n"
 
 
 def test_bad_element_is_domain_error(capsys):
@@ -294,6 +325,31 @@ def test_cold_warm_and_corrupt_cache(tmp_path):
     assert nocache.stdout == cold.stdout
 
 
+#: sha256 of the cold `quiver --format json` stdout and of the cache file
+#: it writes; a cache written by one version must reproduce a cold run of the next
+PINNED_SHA256 = {
+    "A1": ("2c36909f11c58de5f4a6c8d8427ab18fb56368aa03e3f3a8514bd578154d2a97",
+           "79239910fd44206d244f8c78229ddc3c4f3795bd7fd879c1a09a6f2c6b08df06"),
+    "A2": ("9eaeb144c01d7bd252f7e2f57a4bf3a91bdc36ebf4f1a7bbb417e7e9d875c962",
+           "27d2df296adb9fa17aaad703d2a5402713fd9bd3e55e927766cb86751c1b40df"),
+    "B2": ("d067556ecac1c594d857b19d47d0dcacc45de2ea05a705205eacec96a15348b6",
+           "f7b6981fea82c255ceb411ad82423ad92c8eba8123b6536797f1d49e996c95f1"),
+    "G2": ("4426d788588bfd1c918146263dc2cd2d7698e924f08d3afdf1afb22d507c581e",
+           "58d4f4aec26e51ccb05ebcbfb00b55e8ade421df71b27a45579de3bf2516b21d"),
+    "A3": ("1328de2b71e7bd7433816575dfe808687f1385c11e14bc2ab6e19268d6aea454",
+           "fa54b6b9debca4c198fe1d4c1bb7e7a992e2894c5bec7b96ab5348fde9d60ea1"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SHA256))
+def test_cold_json_and_cache_file_bytes_are_pinned(name, tmp_path, capsys):
+    code, out, _ = run_cli("quiver", "--type", name, "--format", "json", "--cache-dir", str(tmp_path), capsys=capsys)
+    assert code == 0
+    digests = (hashlib.sha256(out.encode()).hexdigest(),
+               hashlib.sha256(cache.cache_file(tmp_path, name).read_bytes()).hexdigest())
+    assert digests == PINNED_SHA256[name]
+
+
 def _in_module_1(change):
     def mutate(payload):
         change(payload["modules"]["1"])
@@ -304,8 +360,10 @@ def _push_entry_past_last_row(doc):
     doc["gens"][0][0][0] = len(doc["degrees"])
 
 
-def _unquote_first_entry(doc):
-    doc["gens"][0][0][2] = 1
+def _set_first_entry(value):
+    def change(doc):
+        doc["gens"][0][0][2] = value
+    return change
 
 
 def _set_degrees(degrees, gens=None):
@@ -362,7 +420,8 @@ def _drop_last_relator_pair(payload):
         _in_module_1(_set_degrees([0, 0])),
         _in_module_1(_set_degrees(["a", 1])),
         _in_module_1(_set_degrees([], gens=[[], []])),
-        _in_module_1(_unquote_first_entry),
+        _in_module_1(_set_first_entry(1)),
+        _in_module_1(_set_first_entry("1e5")),
         _in_module_1(_set_multiplicities([])),
         _in_module_1(_set_multiplicities({"e": 0})),
         _hom1_pair_out_of_range,
@@ -374,7 +433,7 @@ def _drop_last_relator_pair(payload):
         _drop_last_relator_pair,
     ],
     ids=["generator-not-square", "degrees-not-shifted", "degree-not-int", "no-degrees",
-         "entry-not-string", "multiplicities-list", "multiplicity-zero", "hom1-pair-out-of-range",
+         "entry-not-string", "entry-exponent", "multiplicities-list", "multiplicity-zero", "hom1-pair-out-of-range",
          "hom1-map-too-tall", "hom1-entry-off-degree", "relator-path-out-of-range",
          "relator-coefficient-zero", "relator-coefficient-not-string", "relator-pair-missing"],
 )
@@ -454,9 +513,13 @@ def _a1_entry(**changes):
         (_a1_doc(stalks={"e": -1, "1": -1}), "not a nonnegative integer"),
         (_a1_doc(stalks={"e": 1.5, "1": 1}), "not a nonnegative integer"),
         (_a1_doc(boundary=_a1_entry(matrix="1")), "not a list of rows"),
+        (_a1_doc(boundary=_a1_entry(matrix=[["1e5000"]])), "bad matrix entry"),
+        (_a1_doc(boundary=_a1_entry(matrix=[["1e10000000"]])), "bad matrix entry"),
+        (_a1_doc(boundary=_a1_entry(matrix=[["0.5"]])), "bad matrix entry"),
     ],
     ids=["no-stalks", "k-text", "entry-abc", "entry-1/0", "list", "system-text",
-         "stalk-negative", "stalk-float", "matrix-text"],
+         "stalk-negative", "stalk-float", "matrix-text", "entry-exponent",
+         "entry-huge-exponent", "entry-decimal"],
 )
 def test_malformed_icmodule_document_is_one_error_line(doc, fragment, tmp_path, capsys):
     file = tmp_path / "doc.json"
@@ -469,13 +532,15 @@ def test_malformed_icmodule_document_is_one_error_line(doc, fragment, tmp_path, 
 
 
 @pytest.mark.parametrize("command", ["validate", "cohomology", "dual"])
-@pytest.mark.parametrize("kind", ["not-utf8", "directory", "nested"])
+@pytest.mark.parametrize("kind", ["not-utf8", "directory", "nested", "long-integer"])
 def test_unreadable_icmodule_file_is_one_error_line(kind, command, tmp_path, capsys):
     file = tmp_path / "doc.json"
     if kind == "directory":
         file.mkdir()
     elif kind == "nested":
         file.write_text("[" * 100000)  # deeper than the JSON decoder recurses
+    elif kind == "long-integer":  # a stalk past the decoder's 4300-digit limit
+        file.write_text(json.dumps(_a1_doc(stalks={"e": 1})).replace('"e": 1', '"e": ' + "7" * 5000))
     else:
         file.write_bytes(bytes([0xFF, 0xFE, 0x7B]))
     code, out, err = run_cli("icmod", command, str(file), "--no-cache", capsys=capsys)
@@ -535,13 +600,16 @@ def _a1_quiver_run() -> tuple[str, bytes]:
 
 @st.composite
 def cache_file_bytes(draw):
-    """Arbitrary bytes, deeply nested brackets, arbitrary JSON, or the real
-    A1 cache file with a slice replaced by arbitrary bytes."""
-    kind = draw(st.sampled_from(["bytes", "nested", "json", "spliced"]))
+    """Arbitrary bytes, deeply nested brackets, a long integer literal,
+    arbitrary JSON, or the real A1 cache file with a slice replaced by
+    arbitrary bytes."""
+    kind = draw(st.sampled_from(["bytes", "nested", "long-integer", "json", "spliced"]))
     if kind == "bytes":
         return draw(st.binary(max_size=64))
     if kind == "nested":  # past the JSON decoder's recursion limit, from some depth on
         return b"[" * draw(st.integers(1, 5000))
+    if kind == "long-integer":  # past the decoder's 4300-digit limit, from some length on
+        return b"[" + b"7" * draw(st.integers(4250, 5000)) + b"]"
     if kind == "json":
         return json.dumps(draw(json_values)).encode()
     original = _a1_quiver_run()[1]

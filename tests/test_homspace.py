@@ -104,7 +104,7 @@ def test_hom1_intertwines_every_derived_class_action(a2_family):
     g = a2_family.group
     ring = a2_family.ring
     actions = {
-        w.idx: derived_actions(ring, a2_family[w].gens, QMatrix.identity(a2_family[w].dim))
+        w.idx: derived_actions(ring, a2_family[w].gens)
         for w in g
     }
     checked = 0

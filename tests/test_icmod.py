@@ -15,14 +15,11 @@ from oquiver.checks import (
 from oquiver.icmod import (
     ICModule,
     InvalidModule,
-    QuiverRep,
     ShapeError,
     euler_characteristic,
-    from_quiver_rep,
     icmodule_from_doc,
     icmodule_to_doc,
     rep_satisfies_relations,
-    to_quiver_rep,
     total_cohomology,
     validate,
     verdier_dual,
@@ -87,9 +84,9 @@ def test_p1_invalid_both_maps(a1q):
 
 
 def test_semisimple_rep_is_valid(a2q):
-    rep = QuiverRep({w.idx: 1 for w in a2q.group.elements}, {})
-    assert rep_satisfies_relations(a2q, rep)
-    assert validate(a2q, from_quiver_rep(a2q, rep))
+    m = ICModule({w.idx: 1 for w in a2q.group.elements}, {})
+    assert rep_satisfies_relations(a2q, m)
+    assert validate(a2q, m)
 
 
 def test_one_way_rep_at_covering_pair_is_valid(a2q):
@@ -97,9 +94,8 @@ def test_one_way_rep_at_covering_pair_is_valid(a2q):
     # each end, exactly one of the two opposite arrows nonzero
     g = a2q.group
     y, w = g.simple(1), g.parse("1.2")
-    rep = QuiverRep({y.idx: 1, w.idx: 1}, {(w.idx, y.idx, 0): QMatrix([[1]])})
-    assert rep_satisfies_relations(a2q, rep)
-    m = from_quiver_rep(a2q, rep)
+    m = ICModule({y.idx: 1, w.idx: 1}, {(w.idx, y.idx): [(0, QMatrix([[1]]))]})
+    assert rep_satisfies_relations(a2q, m)
     assert validate(a2q, m)
     dims = total_cohomology(a2q, m)
     assert euler_characteristic(dims) == sum(
@@ -109,18 +105,17 @@ def test_one_way_rep_at_covering_pair_is_valid(a2q):
 
 def test_singleton_relator_violation(a2q):
     # the loop at the longest element through s1s2 is itself a relator, so a
-    # rep making both of those arrows nonzero (and nothing else) breaks it
+    # module making both of those arrows nonzero (and nothing else) breaks it
     g = a2q.group
     w0, mid = g.longest, g.parse("1.2")
-    rep = QuiverRep(
+    m = ICModule(
         {w0.idx: 1, mid.idx: 1},
         {
-            (w0.idx, mid.idx, 0): QMatrix([[1]]),
-            (mid.idx, w0.idx, 0): QMatrix([[1]]),
+            (w0.idx, mid.idx): [(0, QMatrix([[1]]))],
+            (mid.idx, w0.idx): [(0, QMatrix([[1]]))],
         },
     )
-    assert not rep_satisfies_relations(a2q, rep)
-    m = from_quiver_rep(a2q, rep)
+    assert not rep_satisfies_relations(a2q, m)
     assert not validate(a2q, m)
     d, _ = icmod.assemble_differential(a2q, m)
     assert not (d * d).is_zero()
@@ -135,8 +130,7 @@ def test_prop36_equivalence_200_samples(a2q):
 def test_euler_characteristic_is_differential_free(a2q):
     rng = random.Random(11)
     for _ in range(20):
-        rep = generic_rep(a2q, rng)
-        m = from_quiver_rep(a2q, rep)
+        m = generic_rep(a2q, rng)
         if not validate(a2q, m):
             continue
         dims = total_cohomology(a2q, m)
@@ -161,8 +155,11 @@ def test_verdier_involution_other_types(a1q):
 def test_duality_pairings_are_symmetric(a2q):
     # the degree-0 isomorphism V_w -> V_w* is a symmetric pairing, which is
     # what makes applying the dual twice land exactly on the original data
-    for phi in icmod._duality_isos(a2q):
+    isos, inverses = icmod._duality_isos(a2q)
+    for phi, inverse in zip(isos, inverses):
         assert phi == phi.transpose()
+        assert phi * inverse == QMatrix.identity(phi.rows)
+    assert icmod._duality_isos(a2q) is icmod._duality_isos(a2q)
 
 
 def test_simple_is_self_dual(a2q):
@@ -180,17 +177,8 @@ def test_dual_swaps_p1_extensions(a1q):
     assert total_cohomology(a1q, dual) == {-1: 1}
 
 
-def test_round_trip_rep_and_module(a2q):
-    rng = random.Random(3)
-    for _ in range(10):
-        rep = generic_rep(a2q, rng)
-        m = from_quiver_rep(a2q, rep)
-        again = from_quiver_rep(a2q, to_quiver_rep(a2q, m))
-        assert again == m
-
-
 def test_zero_rep(a2q):
-    m = from_quiver_rep(a2q, QuiverRep({}, {}))
+    m = ICModule({}, {})
     assert m.stalks == {} and m.boundary == {}
     assert validate(a2q, m)
     assert total_cohomology(a2q, m) == {}
@@ -209,13 +197,15 @@ def test_shape_errors(a2q):
             ICModule({e.idx: 2, g.simple(1).idx: 1}, {(e.idx, g.simple(1).idx): [(0, QMatrix([[1]]))]}),
         )
     with pytest.raises(ShapeError):
-        from_quiver_rep(a2q, QuiverRep({e.idx: 1, g.simple(1).idx: 1}, {(e.idx, g.simple(1).idx, 5): QMatrix([[1]])}))
+        # arrow index out of range
+        rep_satisfies_relations(
+            a2q, ICModule({e.idx: 1, g.simple(1).idx: 1}, {(e.idx, g.simple(1).idx): [(5, QMatrix([[1]]))]})
+        )
 
 
 def test_document_round_trip(a2q):
     rng = random.Random(9)
-    for rep in sample_reps(a2q, 9, 12):
-        m = from_quiver_rep(a2q, rep)
+    for m in sample_reps(a2q, 9, 12):
         doc = icmodule_to_doc(a2q, m)
         back = icmodule_from_doc(a2q, doc)
         assert back == m
@@ -227,8 +217,7 @@ def test_boundary_absent_between_nonincident(a2q):
     # generated boundaries only ever sit on incident pairs by construction
     rng = random.Random(13)
     for _ in range(5):
-        rep = generic_rep(a2q, rng)
-        for (y, w, _k) in rep.arrow_maps:
+        for (y, w) in generic_rep(a2q, rng).boundary:
             assert (y, w) in a2q.hom1
 
 

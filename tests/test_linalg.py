@@ -120,6 +120,13 @@ def test_rational_round_trip():
         assert parse_rational(format_rational(x)) == x
     assert format_rational(F(3)) == "3"
     assert format_rational(F(-1, 2)) == "-1/2"
+    assert parse_rational("6/4") == F(3, 2)
+
+
+@pytest.mark.parametrize("text", ["1e5", "1e10000000", "0.5", " 1", "1/", "/2", "+1", "1/-2", "٣", ""])
+def test_parse_rational_takes_only_the_written_forms(text):
+    with pytest.raises(ValueError):
+        parse_rational(text)
 
 
 small_entries = st.integers(min_value=-4, max_value=4).map(F)

@@ -24,7 +24,7 @@ F = Fraction
 
 def all_actions(ring, m):
     """The action matrix of every class on m, in element order."""
-    return derived_actions(ring, m.gens, QMatrix.identity(m.dim))
+    return derived_actions(ring, m.gens)
 
 
 @pytest.fixture(scope="module")
