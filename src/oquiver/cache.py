@@ -89,7 +89,7 @@ def _sparse_doc(m: QMatrix) -> list[list]:
     return [[i, j, format_rational(x)] for i, j, x in m.nonzero_items()]
 
 
-def _rational(x) -> Fraction:
+def _rational(x) -> int | Fraction:
     """A stored nonzero "p/q" string."""
     if not isinstance(x, str):
         raise ValueError('a stored rational is not a "p/q" string')

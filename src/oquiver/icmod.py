@@ -16,14 +16,16 @@ self-duality of each V_w, with no extra signs.
 from __future__ import annotations
 
 import functools
-from fractions import Fraction
 
 from .linalg import QMatrix, Row, canonical_basis, format_rational, in_span, parse_rational, rank
 from .quiver import Quiver
 from .schubert import InternalConsistencyError
 from .soergel import GradedModule, graded_hom_basis
 
-QQ = Fraction
+
+#: the largest total dimension sum_w stalk_w dim V_w a document may give:
+#: the total complex allocates a row and a degree per basis vector
+MAX_TOTAL_DIM = 100_000
 
 
 class ShapeError(ValueError):
@@ -180,7 +182,7 @@ def rep_satisfies_relations(q: Quiver, m: ICModule) -> bool:
 def _invert(mat: QMatrix) -> QMatrix:
     """The inverse, read off the RREF [I | A^-1] of [A | I]."""
     n = mat.cols
-    rows = canonical_basis(({**row, n + i: QQ(1)} for i, row in enumerate(mat.data)), n + mat.rows)
+    rows = canonical_basis(({**row, n + i: 1} for i, row in enumerate(mat.data)), n + mat.rows)
     # the RREF always has full rank; A is singular iff a pivot lands in the I block
     if mat.rows != n or any(min(row) >= n for row in rows):
         raise InternalConsistencyError("matrix is singular")
@@ -314,6 +316,8 @@ def icmodule_from_doc(q: Quiver, doc: dict) -> ICModule:
         if type(d) is not int or d < 0:
             raise ShapeError(f"stalk of {el} is {d!r}, not a nonnegative integer")
         stalks[_element(q, el, "stalk element")] = d
+    if sum(d * q.family.modules[w].dim for w, d in stalks.items()) > MAX_TOTAL_DIM:
+        raise ShapeError(f"stalks give a total complex of more than {MAX_TOTAL_DIM} dimensions")
     entries = doc.get("boundary", [])
     if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
         raise ShapeError("document boundary is not a list of objects")

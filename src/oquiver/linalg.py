@@ -6,6 +6,13 @@ spaces) runs through this module.  There is no floating point anywhere:
 ranks decide dimensions downstream, and a rank decision corrupted by
 rounding would silently change arrow or relator counts.
 
+Exact values are `int` when integral and `Fraction` otherwise, never
+float: most entries in the pipeline are integers, and an `int` skips the
+pure-Python `Fraction` arithmetic and its gcd per operation.  Python treats
+`3` and `Fraction(3)` as equal with equal hashes, so the rule changes no
+comparison; :func:`exact` applies it to a value and :func:`divide` is the
+one division applied to entries (`int / int` would be a float).
+
 Pivoting is deterministic (first nonzero entry, leftmost column first), so
 every computed basis is reproducible across runs and platforms.  Storage is
 sparse: a vector is a `Row`, a dict mapping each column to its nonzero
@@ -18,18 +25,30 @@ import re
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-QQ = Fraction
-Row = dict[int, Fraction]
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+Row = dict[int, int | Fraction]
 
 
 class DimensionMismatch(ValueError):
     """Raised when operand shapes do not agree."""
 
 
-def format_rational(x: Fraction) -> str:
+def exact(x: int | Fraction | str) -> int | Fraction:
+    """x as an exact value: an int when it is integral, a Fraction otherwise."""
+    if type(x) is int:
+        return x
+    if type(x) is not Fraction:
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
+def divide(a: int | Fraction, b: int | Fraction) -> int | Fraction:
+    """a / b as an exact value: a // b when b divides a, else a Fraction."""
+    if type(a) is int and type(b) is int and b and not a % b:
+        return a // b
+    return exact(Fraction(a, b))
+
+
+def format_rational(x: int | Fraction) -> str:
     """Render a rational as "p/q", or just "p" when the denominator is 1."""
     if x.denominator == 1:
         return str(x.numerator)
@@ -39,13 +58,15 @@ def format_rational(x: Fraction) -> str:
 _RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
-def parse_rational(s: str) -> Fraction:
+def parse_rational(s: str) -> int | Fraction:
     """Inverse of :func:`format_rational`: only the forms "p" and "p/q", so
     an exponent like "1e10000000" never builds its integer."""
     match = _RATIONAL.fullmatch(s)
     if match is None:
         raise ValueError(f'{s!r} is not a rational like "p" or "p/q"')
-    return Fraction(int(match[1]), int(match[2] or 1))
+    if match[2] is None:
+        return int(match[1])
+    return divide(int(match[1]), int(match[2]))
 
 
 class QMatrix:
@@ -59,7 +80,7 @@ class QMatrix:
 
     __slots__ = ("rows", "cols", "data")
 
-    def __init__(self, data: Iterable[Iterable[Fraction | int | str]], cols: int | None = None):
+    def __init__(self, data: Iterable[Iterable[int | Fraction | str]], cols: int | None = None):
         dense = [tuple(row) for row in data]
         if dense:
             cols = len(dense[0])
@@ -67,13 +88,16 @@ class QMatrix:
                 raise DimensionMismatch("ragged rows")
         elif cols is None:
             raise DimensionMismatch("empty matrix needs an explicit column count")
-        self._set(tuple({j: v for j, v in enumerate(map(Fraction, r)) if v} for r in dense), cols)
+        self._set(tuple({j: v for j, v in enumerate(map(exact, r)) if v} for r in dense), cols)
 
     @classmethod
     def from_rows(cls, rows: Iterable[Row], cols: int) -> "QMatrix":
-        """A matrix with the given Rows (Fraction entries); zero entries are dropped."""
+        """A matrix with the given Rows (int or Fraction entries); zero
+        entries are dropped and integral Fractions become ints."""
         m = object.__new__(cls)
-        m._set(tuple({j: v for j, v in row.items() if v} for row in rows), cols)
+        m._set(tuple(
+            {j: v if type(v) is int else exact(v) for j, v in row.items() if v} for row in rows
+        ), cols)
         return m
 
     def _set(self, data: tuple[Row, ...], cols: int) -> None:
@@ -90,17 +114,17 @@ class QMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "QMatrix":
-        return cls.from_rows([{i: _ONE} for i in range(n)], n)
+        return cls.from_rows([{i: 1} for i in range(n)], n)
 
-    def __getitem__(self, ij: tuple[int, int]) -> Fraction:
+    def __getitem__(self, ij: tuple[int, int]) -> int | Fraction:
         i, j = ij
-        return self.data[i].get(j, _ZERO)
+        return self.data[i].get(j, 0)
 
     def col(self, j: int) -> Row:
         return {i: row[j] for i, row in enumerate(self.data) if j in row}
 
-    def dense(self) -> list[list[Fraction]]:
-        return [[row.get(j, _ZERO) for j in range(self.cols)] for row in self.data]
+    def dense(self) -> list[list[int | Fraction]]:
+        return [[row.get(j, 0) for j in range(self.cols)] for row in self.data]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, QMatrix):
@@ -117,12 +141,12 @@ class QMatrix:
         for ra, rb in zip(self.data, other.data):
             acc = dict(ra)
             for j, b in rb.items():
-                acc[j] = acc.get(j, _ZERO) + b
+                acc[j] = acc.get(j, 0) + b
             out.append(acc)
         return QMatrix.from_rows(out, self.cols)
 
-    def scale(self, c: Fraction | int) -> "QMatrix":
-        c = Fraction(c)
+    def scale(self, c: int | Fraction) -> "QMatrix":
+        c = exact(c)
         return QMatrix.from_rows(
             ({j: c * a for j, a in row.items()} for row in self.data), self.cols
         )
@@ -135,16 +159,16 @@ class QMatrix:
             acc: Row = {}
             for k, a in row.items():
                 for j, b in other.data[k].items():
-                    acc[j] = acc.get(j, _ZERO) + a * b
+                    acc[j] = acc.get(j, 0) + a * b
             out.append(acc)
         return QMatrix.from_rows(out, other.cols)
 
     def matvec(self, v: Row) -> Row:
         out = {}
         for i, row in enumerate(self.data):
-            s = sum((a * v[k] for k, a in row.items() if k in v), _ZERO)
+            s = sum(a * v[k] for k, a in row.items() if k in v)
             if s:
-                out[i] = s
+                out[i] = exact(s)
         return out
 
     def transpose(self) -> "QMatrix":
@@ -169,7 +193,7 @@ class QMatrix:
     def is_zero(self) -> bool:
         return not any(self.data)
 
-    def nonzero_items(self) -> Iterator[tuple[int, int, Fraction]]:
+    def nonzero_items(self) -> Iterator[tuple[int, int, int | Fraction]]:
         for i, row in enumerate(self.data):
             for j, a in row.items():
                 yield i, j, a
@@ -179,10 +203,12 @@ class QMatrix:
         return f"QMatrix({self.rows}x{self.cols}: {body})"
 
 
-def _subtract(target: Row, c: Fraction, row: Row) -> None:
+def _subtract(target: Row, c: int | Fraction, row: Row) -> None:
     """target -= c * row in place, dropping the entries that cancel."""
     for j, v in row.items():
-        new = target.get(j, _ZERO) - c * v
+        new = target.get(j, 0) - c * v
+        if type(new) is not int and new.denominator == 1:
+            new = new.numerator
         if new:
             target[j] = new
         else:
@@ -213,7 +239,7 @@ class RowSpan:
         return len(self._rows)
 
     def _vector(self, vector: Row) -> Row:
-        vec = {j: Fraction(v) for j, v in vector.items() if v}
+        vec = {j: v if type(v) is int else exact(v) for j, v in vector.items() if v}
         if vec and not (0 <= min(vec) and max(vec) < self.ncols):
             raise DimensionMismatch("vector column outside the span width")
         return vec
@@ -245,11 +271,11 @@ class RowSpan:
             return combo if self.track else {}
         pivot = min(vec)
         lead = vec[pivot]
-        row = {j: v / lead for j, v in vec.items()}
+        row = {j: divide(v, lead) for j, v in vec.items()}
         if self.track:
             # residual = gen_g - sum(combo[i] * gen_i); solve for the new row.
-            newcombo = {i: -v / lead for i, v in combo.items()}
-            newcombo[g] = _ONE / lead
+            newcombo = {i: divide(-v, lead) for i, v in combo.items()}
+            newcombo[g] = divide(1, lead)
         # Clear the new pivot column from every stored row.
         for p, other in self._rows.items():
             c = other.get(pivot)
@@ -317,7 +343,7 @@ def nullspace(m: QMatrix) -> list[Row]:
     for free in range(m.cols):
         if free in pivots:
             continue
-        v = {free: _ONE}
+        v = {free: 1}
         for r, p in enumerate(pivots):
             if free in reduced.data[r]:
                 v[p] = -reduced.data[r][free]
@@ -342,7 +368,7 @@ def nullspace_of_rows(rows: Iterable[Row], ncols: int) -> list[Row]:
     for free in range(ncols):
         if free in pivot_set:
             continue
-        v = {free: _ONE}
+        v = {free: 1}
         for p in pivots:
             c = span._rows[p].get(free)
             if c:
@@ -381,7 +407,7 @@ def solve(a: QMatrix, b: Row) -> Row | None:
     """
     if b and not (0 <= min(b) and max(b) < a.rows):
         raise DimensionMismatch("right-hand side index outside the rows")
-    augmented = [{**row, a.cols: b.get(i, _ZERO)} for i, row in enumerate(a.data)]
+    augmented = [{**row, a.cols: b.get(i, 0)} for i, row in enumerate(a.data)]
     rows = canonical_basis(augmented, a.cols + 1)
     if rows and min(rows[-1]) == a.cols:
         return None  # a pivot in the constants column: no solution

@@ -24,12 +24,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .linalg import QMatrix, Row, RowSpan, canonical_basis, format_rational
+from .linalg import QMatrix, Row, RowSpan, canonical_basis, exact, format_rational
 from .rootsystem import WeylElement
 from .homspace import hom_basis
 from .soergel import ModuleFamily
-
-QQ = Fraction
 
 # (y, j, z, i, w): first the j-th arrow y -> z, then the i-th arrow z -> w
 PathKey = tuple[int, int, int, int, int]
@@ -54,10 +52,10 @@ class PathCombo:
 
     __slots__ = ("source", "target", "terms")
 
-    def __init__(self, source: int, target: int, terms: dict[PathKey, Fraction]):
+    def __init__(self, source: int, target: int, terms: dict[PathKey, int | Fraction]):
         self.source = source
         self.target = target
-        self.terms = {k: QQ(c) for k, c in terms.items() if c}
+        self.terms = {k: exact(c) for k, c in terms.items() if c}
         for y, _, _, _, w in self.terms:
             if y != source or w != target:
                 raise MalformedPath("path endpoints do not match the combination")

@@ -40,11 +40,9 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .linalg import QMatrix, Row, RowSpan, canonical_basis, nullspace_of_rows
+from .linalg import QMatrix, Row, RowSpan, canonical_basis, divide, nullspace_of_rows
 from .rootsystem import WeylElement, WeylGroup
 from .schubert import CohClass, CohRing, InternalConsistencyError
-
-QQ = Fraction
 
 
 class GradedModule:
@@ -67,7 +65,7 @@ class GradedModule:
         return dict(sorted(out.items()))
 
 
-def _common_denominator(values: Iterable[Fraction]) -> int:
+def _common_denominator(values: Iterable[int | Fraction]) -> int:
     return math.lcm(1, *{v.denominator for v in values})
 
 
@@ -108,7 +106,7 @@ def derived_actions(ring: CohRing, gens: Sequence[QMatrix], top: int | None = No
         scaled.append(acc)
         denominator = (d_coeff * d_gen) ** u.length
         out.append(QMatrix.from_rows(
-            ({j: QQ(v, denominator) for j, v in row.items()} for row in acc), dim
+            ({j: divide(v, denominator) for j, v in row.items()} for row in acc), dim
         ))
     return out
 
@@ -189,7 +187,7 @@ class Presentation:
         for a in module.gens:
             for column in a.transpose().data:
                 image.add(column)
-        generators = [q for q in range(dim) if image.add({q: QQ(1)})]
+        generators = [q for q in range(dim) if image.add({q: 1})]
         self.gen_degrees = tuple(module.degrees[q] for q in generators)
 
         top = max(module.degrees)
@@ -207,12 +205,12 @@ class Presentation:
                 combo = span.insert(columns[v.idx][q] if v.idx < len(columns) else {})
                 if combo is not None:
                     relation = {n: -c for n, c in combo.items()}
-                    relation[j] = QQ(1)
+                    relation[j] = 1
                     self.relations.append((module.degrees[q] + 2 * v.length, relation))
 
         self.expressions: list[Row] = []
         for q in range(dim):
-            combo = span.coefficients({q: QQ(1)})
+            combo = span.coefficients({q: 1})
             if combo is None:  # pragma: no cover - internal self-check
                 raise InternalConsistencyError("the generators do not span the module")
             self.expressions.append(combo)
@@ -245,7 +243,7 @@ def _act(columns: tuple[tuple[Row, ...], ...], v: int, vector: Row) -> Row:
     if v < len(columns):
         for m, y in vector.items():
             for p, a in columns[v][m].items():
-                out[p] = out.get(p, QQ(0)) + y * a
+                out[p] = out.get(p, 0) + y * a
     return out
 
 
@@ -290,7 +288,7 @@ def graded_hom_basis(
             for m, u in unknowns[k]:
                 for p, a in columns[v][m].items():
                     cell = constraint.setdefault(p, {})
-                    cell[u] = cell.get(u, QQ(0)) + c * a
+                    cell[u] = cell.get(u, 0) + c * a
         rows.extend(constraint[p] for p in sorted(constraint))
 
     kernel = nullspace_of_rows(rows, nvars)
@@ -317,7 +315,7 @@ def graded_hom_basis(
                     v, k = pres.orbit[j]
                     orbit_images[j] = _act(columns, v, gen_images[k])
                 for p, a in orbit_images[j].items():
-                    col[p] = col.get(p, QQ(0)) + b * a
+                    col[p] = col.get(p, 0) + b * a
             flat.update((index[(p, q)], a) for p, a in col.items() if a)
         flats.append(flat)
 
@@ -423,7 +421,7 @@ def extract_top(
     for x_idx in range(dim):
         if span.rank == dim:
             break
-        if span.contains({x_idx: QQ(1)}):
+        if span.contains({x_idx: 1}):
             continue
         for action in columns:
             vec = action[x_idx]

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from oquiver import cache, rootsystem
 from oquiver.cli import main
-from oquiver.icmod import icmodule_from_doc
+from oquiver.icmod import MAX_TOTAL_DIM, icmodule_from_doc
 from oquiver.quiver import parse_relations
 
 
@@ -338,6 +338,9 @@ PINNED_SHA256 = {
            "58d4f4aec26e51ccb05ebcbfb00b55e8ade421df71b27a45579de3bf2516b21d"),
     "A3": ("1328de2b71e7bd7433816575dfe808687f1385c11e14bc2ab6e19268d6aea454",
            "fa54b6b9debca4c198fe1d4c1bb7e7a992e2894c5bec7b96ab5348fde9d60ea1"),
+    # the only pinned type whose generator matrices have denominators
+    "B3": ("34865411effc66570c59995870ac26122dea59e06444e46cab579c6e67b14f07",
+           "c450bb85a5e23f28903c82ca5ce5e91b9208307f40aee65b9d8498a751deb89f"),
 }
 
 
@@ -516,10 +519,13 @@ def _a1_entry(**changes):
         (_a1_doc(boundary=_a1_entry(matrix=[["1e5000"]])), "bad matrix entry"),
         (_a1_doc(boundary=_a1_entry(matrix=[["1e10000000"]])), "bad matrix entry"),
         (_a1_doc(boundary=_a1_entry(matrix=[["0.5"]])), "bad matrix entry"),
+        (_a1_doc(stalks={"e": 10**30}), f"more than {MAX_TOTAL_DIM} dimensions"),
+        # dim V_e = 1 and dim V_1 = 2, so one past the bound
+        (_a1_doc(stalks={"e": 1, "1": MAX_TOTAL_DIM // 2}), f"more than {MAX_TOTAL_DIM} dimensions"),
     ],
     ids=["no-stalks", "k-text", "entry-abc", "entry-1/0", "list", "system-text",
          "stalk-negative", "stalk-float", "matrix-text", "entry-exponent",
-         "entry-huge-exponent", "entry-decimal"],
+         "entry-huge-exponent", "entry-decimal", "stalk-huge", "stalks-past-bound"],
 )
 def test_malformed_icmodule_document_is_one_error_line(doc, fragment, tmp_path, capsys):
     file = tmp_path / "doc.json"
@@ -529,6 +535,14 @@ def test_malformed_icmodule_document_is_one_error_line(doc, fragment, tmp_path, 
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert fragment in err
+
+
+def test_stalks_at_the_bound_are_accepted(tmp_path, capsys):
+    file = tmp_path / "doc.json"
+    file.write_text(json.dumps(_a1_doc(stalks={"1": MAX_TOTAL_DIM // 2}, boundary=None)))
+    code, out, err = run_cli("icmod", "cohomology", str(file), "--no-cache", capsys=capsys)
+    assert (code, err) == (0, "")
+    assert out == f"H^-1: {MAX_TOTAL_DIM // 2}\nH^1: {MAX_TOTAL_DIM // 2}\n"
 
 
 @pytest.mark.parametrize("command", ["validate", "cohomology", "dual"])
@@ -570,22 +584,29 @@ boundary_entries = st.fixed_dictionaries(
 documents = st.fixed_dictionaries(
     {"system": st.just(A1_SYSTEM)},
     optional={
-        "stalks": st.dictionaries(element_strings, st.integers(-1, 2) | json_values, max_size=3)
-        | json_values,
+        "stalks": st.dictionaries(
+            element_strings, st.integers(-1, 2) | st.just(10**30) | json_values, max_size=3
+        ) | json_values,
         "boundary": st.lists(boundary_entries, max_size=3) | json_values,
     },
 ) | json_values
 
 
 @settings(max_examples=150, deadline=None)
-@given(documents, st.sampled_from(["validate", "cohomology", "dual"]))
-def test_any_json_icmodule_document_exits_0_or_1(doc, command):
+@given(st.binary(max_size=64) | documents.map(lambda doc: json.dumps(doc).encode()),
+       st.sampled_from(["validate", "cohomology", "dual"]))
+def test_any_json_icmodule_document_exits_0_or_1(blob, command):
     with tempfile.TemporaryDirectory() as tmp:
         file = Path(tmp) / "doc.json"
-        file.write_text(json.dumps(doc))
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        file.write_bytes(blob)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(["icmod", command, str(file), "--no-cache"])
     assert code in (0, 1)
+    if code == 1:  # an error line, or the verdict on a module with d^2 != 0
+        assert (err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1) or (
+            command == "validate" and out.getvalue() == "invalid: d^2 != 0\n" and not err.getvalue()
+        )
 
 
 @functools.lru_cache(maxsize=1)

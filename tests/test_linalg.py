@@ -121,6 +121,8 @@ def test_rational_round_trip():
     assert format_rational(F(3)) == "3"
     assert format_rational(F(-1, 2)) == "-1/2"
     assert parse_rational("6/4") == F(3, 2)
+    assert type(parse_rational("-6/3")) is int and parse_rational("-6/3") == -2
+    assert type(parse_rational("7")) is int
 
 
 @pytest.mark.parametrize("text", ["1e5", "1e10000000", "0.5", " 1", "1/", "/2", "+1", "1/-2", "٣", ""])
@@ -217,6 +219,44 @@ def test_sparse_operations_match_dense_reference(rows, other_rows, c, xs):
     }
     for j in range(m.cols):
         assert m.col(j) == {i: r[j] for i, r in enumerate(a) if r[j]}
-    # no stored zeros, which is what makes equality of the data meaningful
+    # no stored zeros, which is what makes equality of the data meaningful,
+    # and integral entries stored as ints
     for result in [m, other, *results]:
-        assert all(v != 0 for row in result.data for v in row.values())
+        assert all(v != 0 and _obeys_number_rule(v) for row in result.data for v in row.values())
+
+
+def _obeys_number_rule(v):
+    """An exact value is an int when integral and a Fraction only with a denominator."""
+    return type(v) is int or (type(v) is F and v.denominator != 1)
+
+
+def _rows_of(ncols):
+    entries = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    return st.dictionaries(st.integers(0, ncols - 1), entries, max_size=ncols)
+
+
+span_cases = st.integers(1, 4).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(_rows_of(n), max_size=6), _rows_of(n))
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(span_cases)
+def test_span_results_agree_for_int_and_fraction_inputs(case):
+    ncols, rows, target = case
+    results = []
+    # the same values, integral ones once as int and once as Fraction
+    for convert in (lambda v: v.numerator if v.denominator == 1 else v, F):
+        vectors = [{j: convert(v) for j, v in row.items()} for row in rows]
+        vector = {j: convert(v) for j, v in target.items()}
+        span = RowSpan(ncols, track=True)
+        inserted = [span.insert(v) for v in vectors]
+        results.append((
+            inserted, span.coefficients(vector), span.basis_rows(),
+            canonical_basis(vectors, ncols), nullspace_of_rows(vectors, ncols),
+            in_span(vector, vectors, ncols),
+        ))
+    assert results[0] == results[1]
+    for inserted, coefficients, basis, canonical, kernel, (_, combo) in results:
+        for row in [*filter(None, inserted), coefficients or {}, *basis, *canonical, *kernel, combo or {}]:
+            assert all(_obeys_number_rule(v) for v in row.values())

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from oquiver.cache import load_pipeline
 from oquiver.homspace import hom_basis
 from oquiver.quiver import (
     MalformedPath,
@@ -181,3 +182,19 @@ def test_combo_rendering(a2_quiver):
     loops = a2_quiver.relators()[(w0.idx, w0.idx)]
     rendered = {combo_str(ids, c) for c in loops}
     assert rendered == {"(121)", "(131)"}
+
+
+def test_g2_pipeline_entries_are_int_or_fractions_with_denominators(tmp_path):
+    """G2 has fractional Hom^1 entries; cold and restored, every generator,
+    Hom^1 and relator entry is an int when integral and a Fraction otherwise."""
+    cold = load_pipeline("G2", cache_dir=tmp_path)
+    warm = load_pipeline("G2", cache_dir=tmp_path)
+    for q in (cold.quiver, warm.quiver):
+        hom1 = [v for basis in q.hom1.values() for b in basis for _, _, v in b.nonzero_items()]
+        gens = [v for m in q.family.modules.values() for a in m.gens for _, _, v in a.nonzero_items()]
+        relators = [c for combos in q.relators().values() for combo in combos for c in combo.terms.values()]
+        assert any(type(v) is Fraction for v in hom1)
+        for v in hom1 + gens + relators:
+            assert type(v) is int or (type(v) is Fraction and v.denominator != 1)
+    assert warm.quiver.hom1 == cold.quiver.hom1
+    assert warm.quiver.relators() == cold.quiver.relators()
