@@ -64,9 +64,7 @@ def parse_rational(s: str) -> int | Fraction:
     match = _RATIONAL.fullmatch(s)
     if match is None:
         raise ValueError(f'{s!r} is not a rational like "p" or "p/q"')
-    if match[2] is None:
-        return int(match[1])
-    return divide(int(match[1]), int(match[2]))
+    return divide(int(match[1]), int(match[2] or 1))
 
 
 class QMatrix:
