@@ -5,10 +5,10 @@ from .cache import Pipeline, load_pipeline
 from .homspace import HomBasis, hom_basis
 from .icmod import ICModule, total_cohomology, validate, verdier_dual
 from .kl import ih_poincare, kl_polynomial, mu
-from .linalg import QMatrix, in_span, nullspace, rref, solve
+from .linalg import QMatrix, in_span
 from .quiver import PathCombo, Quiver, build_quiver
 from .rootsystem import RootSystem, WeylElement, WeylGroup, build, generate_weyl
-from .schubert import CohClass, CohRing, build_ring
+from .schubert import CohRing, build_ring
 from .soergel import GradedModule, ModuleFamily, build_all, extend, trivial_module, word_module
 
 __version__ = "0.1.0"

@@ -99,7 +99,7 @@ def cmd_cohomology(args) -> int:
         body = []
         for w, products in rows:
             label = "1" if w.length == 0 else f"σ[{w}]"
-            body.append([label] + [class_str(c) for c in products])
+            body.append([label] + [class_str(group, c) for c in products])
         widths = [max(len(r[c]) for r in [header] + body) for c in range(len(header))]
         for r in [header] + body:
             print("  " + " | ".join(cell.ljust(width) for cell, width in zip(r, widths)).rstrip())

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import functools
 
-from .linalg import QMatrix, Row, canonical_basis, format_rational, in_span, parse_rational, rank
+from .linalg import QMatrix, Row, format_rational, in_span, parse_rational, rank
 from .quiver import Quiver
 from .schubert import InternalConsistencyError
 from .soergel import GradedModule, graded_hom_basis
@@ -179,16 +179,6 @@ def rep_satisfies_relations(q: Quiver, m: ICModule) -> bool:
 # -- Verdier duality ------------------------------------------------------------
 
 
-def _invert(mat: QMatrix) -> QMatrix:
-    """The inverse, read off the RREF [I | A^-1] of [A | I]."""
-    n = mat.cols
-    rows = canonical_basis(({**row, n + i: 1} for i, row in enumerate(mat.data)), n + mat.rows)
-    # the RREF always has full rank; A is singular iff a pivot lands in the I block
-    if mat.rows != n or any(min(row) >= n for row in rows):
-        raise InternalConsistencyError("matrix is singular")
-    return QMatrix.from_rows(({j - n: v for j, v in row.items() if j >= n} for row in rows), n)
-
-
 def _dual_module(module: GradedModule) -> GradedModule:
     return GradedModule(
         module.dim, tuple(-d for d in module.degrees), [a.transpose() for a in module.gens]
@@ -196,9 +186,9 @@ def _dual_module(module: GradedModule) -> GradedModule:
 
 
 @functools.lru_cache(maxsize=1)
-def _duality_isos(q: Quiver) -> tuple[list[QMatrix], list[QMatrix]]:
-    """Degree-0 isomorphisms V_w -> V_w* realizing Poincare self-duality, and
-    their inverses; kept for the last quiver only (it hashes by identity)."""
+def _duality_isos(q: Quiver) -> list[QMatrix]:
+    """Degree-0 isomorphisms V_w -> V_w* realizing Poincare self-duality;
+    kept for the last quiver only (it hashes by identity)."""
     isos = []
     for w in q.group.elements:
         module = q.family.modules[w.idx]
@@ -208,7 +198,7 @@ def _duality_isos(q: Quiver) -> tuple[list[QMatrix], list[QMatrix]]:
                 f"self-duality pairing of V[{w}] is not unique and invertible"
             )
         isos.append(maps[0])
-    return isos, [_invert(phi) for phi in isos]
+    return isos
 
 
 def _entries(m: QMatrix) -> Row:
@@ -218,18 +208,22 @@ def _entries(m: QMatrix) -> Row:
 
 def verdier_dual(q: Quiver, m: ICModule) -> ICModule:
     """Dual stalks; boundary (y, w) is the graded transpose of boundary (w, y),
-    re-expressed in the canonical Hom^1 bases.  No sign is introduced."""
+    re-expressed in the canonical Hom^1 bases.  No sign is introduced.
+
+    The dual of a basis map A is phi_w^-1 A^T phi_y = sum c_j B_j over the
+    basis B_j, which holds exactly when A^T phi_y = sum c_j phi_w B_j since
+    the pairing phi_w is invertible; so no inverse is ever formed."""
     _check_shapes(q, m)
-    isos, inverses = _duality_isos(q)
+    isos = _duality_isos(q)
     boundary: dict[tuple[int, int], list[tuple[int, QMatrix]]] = {}
     for (w, y), terms in m.boundary.items():
         # the stored pair maps stalk w -> stalk y; the dual pair is (y, w)
         basis = q.hom1[(y, w)]
         size = basis[0].rows * basis[0].cols
-        basis_rows = [_entries(b) for b in basis]
+        basis_rows = [_entries(isos[w] * b) for b in basis]
         dual_terms: dict[int, QMatrix] = {}
         for k, stalk_map in terms:
-            transported = inverses[w] * q.hom1[(w, y)][k].transpose() * isos[y]
+            transported = q.hom1[(w, y)][k].transpose() * isos[y]
             ok, coeffs = in_span(_entries(transported), basis_rows, size)
             if not ok:  # pragma: no cover - internal self-check
                 raise InternalConsistencyError("transposed boundary left Hom^1")

@@ -201,8 +201,9 @@ class QMatrix:
         return f"QMatrix({self.rows}x{self.cols}: {body})"
 
 
-def _subtract(target: Row, c: int | Fraction, row: Row) -> None:
-    """target -= c * row in place, dropping the entries that cancel."""
+def subtract_scaled(target: Row, c: int | Fraction, row: Row) -> None:
+    """target -= c * row in place, dropping the entries that cancel; with
+    c = -1 it adds row, so it is also the one way Rows are summed."""
     for j, v in row.items():
         new = target.get(j, 0) - c * v
         if type(new) is not int and new.denominator == 1:
@@ -247,9 +248,9 @@ class RowSpan:
             c = vec.get(pivot)
             if not c:
                 continue
-            _subtract(vec, c, self._rows[pivot])
+            subtract_scaled(vec, c, self._rows[pivot])
             if combo is not None:
-                _subtract(combo, -c, self._combos[pivot])
+                subtract_scaled(combo, -c, self._combos[pivot])
         return vec, combo
 
     def add(self, vector: Row) -> bool:
@@ -278,9 +279,9 @@ class RowSpan:
         for p, other in self._rows.items():
             c = other.get(pivot)
             if c:
-                _subtract(other, c, row)
+                subtract_scaled(other, c, row)
                 if self.track:
-                    _subtract(self._combos[p], c, newcombo)
+                    subtract_scaled(self._combos[p], c, newcombo)
         self._rows[pivot] = row
         if self.track:
             self._combos[pivot] = newcombo
@@ -311,17 +312,6 @@ class RowSpan:
         return [dict(sorted(self._rows[p].items())) for p in sorted(self._rows)]
 
 
-def rref(m: QMatrix) -> tuple[QMatrix, tuple[int, ...]]:
-    """Reduced row echelon form and pivot columns.
-
-    The RREF of a matrix is unique, so the result is a canonical form of
-    the row space.  Zero rows are kept so the shape is preserved.
-    """
-    rows = canonical_basis(m.data, m.cols)
-    pivots = tuple(min(row) for row in rows)
-    return QMatrix.from_rows(rows + [{}] * (m.rows - len(rows)), m.cols), pivots
-
-
 def rank(m: QMatrix) -> int:
     span = RowSpan(m.cols)
     for row in m.data:
@@ -329,31 +319,14 @@ def rank(m: QMatrix) -> int:
     return span.rank
 
 
-def nullspace(m: QMatrix) -> list[Row]:
-    """A basis of the right kernel {v : m v = 0}.
+def nullspace_of_rows(rows: Iterable[Row], ncols: int) -> list[Row]:
+    """A basis of the kernel {v : r . v = 0 for every row r}, given the
+    constraint rows one by one, without materializing the (often hugely
+    redundant) matrix.
 
     One basis vector per free column of the RREF, in ascending free-column
     order: entry 1 at the free column, minus the RREF column above each
-    pivot.  Size is always cols - rank(m).
-    """
-    reduced, pivots = rref(m)
-    basis: list[Row] = []
-    for free in range(m.cols):
-        if free in pivots:
-            continue
-        v = {free: 1}
-        for r, p in enumerate(pivots):
-            if free in reduced.data[r]:
-                v[p] = -reduced.data[r][free]
-        basis.append(dict(sorted(v.items())))
-    return basis
-
-
-def nullspace_of_rows(rows: Iterable[Row], ncols: int) -> list[Row]:
-    """Kernel basis for a constraint system given row by row.
-
-    Equivalent to ``nullspace(QMatrix.from_rows(rows, ncols))`` but skips
-    materializing the (often hugely redundant) constraint matrix.
+    pivot.  So the basis is canonical and has ncols - rank vectors.
     """
     span = RowSpan(ncols)
     for row in rows:
@@ -396,17 +369,3 @@ def in_span(v: Row, basis: Sequence[Row], ncols: int) -> tuple[bool, Row | None]
     combo = span.coefficients(v)
     return combo is not None, combo
 
-
-def solve(a: QMatrix, b: Row) -> Row | None:
-    """Exact solution of a x = b, or None when the system is inconsistent.
-
-    Free variables are set to 0 under the RREF, so the answer is the same
-    on every run.
-    """
-    if b and not (0 <= min(b) and max(b) < a.rows):
-        raise DimensionMismatch("right-hand side index outside the rows")
-    augmented = [{**row, a.cols: b.get(i, 0)} for i, row in enumerate(a.data)]
-    rows = canonical_basis(augmented, a.cols + 1)
-    if rows and min(rows[-1]) == a.cols:
-        return None  # a pivot in the constants column: no solution
-    return {min(row): row[a.cols] for row in rows if a.cols in row}

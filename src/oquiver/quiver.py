@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .linalg import QMatrix, Row, RowSpan, canonical_basis, exact, format_rational
+from .linalg import QMatrix, Row, RowSpan, canonical_basis, exact, format_rational, parse_rational
 from .rootsystem import WeylElement
 from .homspace import hom_basis
 from .soergel import ModuleFamily
@@ -357,11 +357,11 @@ def parse_relations(q: Quiver, doc: dict) -> list[PathCombo]:
         by_id[v["id"]] = q.group.parse(v["word"]).idx
     combos = []
     for rel in doc["relations"]:
-        terms: dict[PathKey, Fraction] = {}
+        terms: dict[PathKey, int | Fraction] = {}
         for term in rel["terms"]:
             y, j, z, i, w = term["path"]
             key = (by_id[y], j, by_id[z], i, by_id[w])
-            terms[key] = Fraction(term["coeff"])
+            terms[key] = parse_rational(term["coeff"])
         combos.append(PathCombo(by_id[rel["source"]], by_id[rel["target"]], terms))
     return combos
 

@@ -17,6 +17,9 @@ expressions are kept, since they also carry the action of every class on a
 module from the generator actions alone; the full multiplication table is
 filled from them by iterated Chevalley steps, on first use.
 
+A class is a `linalg.Row` over element indices: sigma_w has the entry 1 at
+w.idx, and coefficients follow `linalg`'s number rule.
+
 Grading note: degrees here are l(w), i.e. half the cohomological degree.
 """
 
@@ -24,79 +27,22 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .linalg import Row, RowSpan, format_rational
+from .linalg import Row, RowSpan, exact, format_rational, subtract_scaled
 from .rootsystem import WeylElement, WeylGroup
-
-QQ = Fraction
 
 
 class InternalConsistencyError(RuntimeError):
     """A mathematically impossible situation; indicates a bug, not bad input."""
 
 
-class CohClass:
-    """A vector in the Schubert basis, as a zero-free coefficient map."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: dict[WeylElement, Fraction] | None = None):
-        self.coeffs = {w: QQ(c) for w, c in (coeffs or {}).items() if c}
-
-    @classmethod
-    def basis(cls, w: WeylElement) -> "CohClass":
-        return cls({w: QQ(1)})
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CohClass):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.coeffs.items()))
-
-    def __add__(self, other: "CohClass") -> "CohClass":
-        out = dict(self.coeffs)
-        for w, c in other.coeffs.items():
-            out[w] = out.get(w, QQ(0)) + c
-        return CohClass(out)
-
-    def __sub__(self, other: "CohClass") -> "CohClass":
-        out = dict(self.coeffs)
-        for w, c in other.coeffs.items():
-            out[w] = out.get(w, QQ(0)) - c
-        return CohClass(out)
-
-    def scale(self, c: Fraction | int) -> "CohClass":
-        c = QQ(c)
-        return CohClass({w: c * v for w, v in self.coeffs.items()})
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def support(self) -> set[WeylElement]:
-        return set(self.coeffs)
-
-    def coefficient(self, w: WeylElement) -> Fraction:
-        return self.coeffs.get(w, QQ(0))
-
-    def __str__(self) -> str:
-        return class_str(self)
-
-    __repr__ = __str__
-
-
-def _row(c: CohClass) -> Row:
-    """The class as a Row over element indices."""
-    return {w.idx: coeff for w, coeff in c.coeffs.items()}
-
-
-def class_str(c: CohClass) -> str:
-    """Render like "σ[1.2] + 2 σ[2.1]"; the unit class prints as "1"."""
-    if not c.coeffs:
+def class_str(group: WeylGroup, c: Row) -> str:
+    """Render a class (a Row over element indices) like "σ[1.2] + 2 σ[2.1]";
+    the unit class prints as "1"."""
+    if not c:
         return "0"
     parts = []
-    for w in sorted(c.coeffs, key=lambda w: w.idx):
-        coeff = c.coeffs[w]
+    for idx in sorted(c):
+        w, coeff = group.elements[idx], c[idx]
         term = "1" if w.length == 0 else f"σ[{w}]"
         if coeff == 1:
             parts.append(term)
@@ -121,7 +67,7 @@ class CohRing:
         self.rootsystem = group.rootsystem
         self._chevalley_data = self._prepare_chevalley()
         self.expressions = self._solve_expressions()
-        self._table: list[list[CohClass]] | None = None
+        self._table: list[list[Row]] | None = None
         self._invariant: list[list[WeylElement]] = []
         self._split_spans: list[RowSpan] = []
         self._prepare_split()
@@ -138,38 +84,38 @@ class CohRing:
             coeffs = []
             for i in range(rs.rank):
                 ei = tuple(1 if k == i else 0 for k in range(rs.rank))
-                coeffs.append(alpha[i] * rs.inner(ei, ei) / norm)
+                coeffs.append(exact(alpha[i] * rs.inner(ei, ei) / norm))
             data.append((s_alpha, tuple(coeffs)))
         return data
 
-    def chevalley_multiply(self, i: int, w: WeylElement) -> CohClass:
+    def chevalley_multiply(self, i: int, w: WeylElement) -> Row:
         """sigma_{s_i} . sigma_w straight from the Chevalley rule (i 1-based)."""
         g = self.group
-        out: dict[WeylElement, Fraction] = {}
+        out: Row = {}
         for s_alpha, coeffs in self._chevalley_data:
             c = coeffs[i - 1]
             if not c:
                 continue
             target = g.multiply(w, s_alpha)
             if target.length == w.length + 1:
-                out[target] = out.get(target, QQ(0)) + c
-        return CohClass(out)
+                out[target.idx] = c  # distinct roots give distinct targets
+        return out
 
-    def chevalley_class(self, i: int, c: CohClass) -> CohClass:
-        out = CohClass()
-        for w, coeff in c.coeffs.items():
-            out = out + self.chevalley_multiply(i, w).scale(coeff)
+    def chevalley_class(self, i: int, c: Row) -> Row:
+        out: Row = {}
+        for w, coeff in c.items():
+            subtract_scaled(out, -coeff, self.chevalley_multiply(i, self.group.elements[w]))
         return out
 
     # -- generator expressions and the full multiplication table ------------
 
-    def _solve_expressions(self) -> list[tuple[tuple[int, int, Fraction], ...]]:
+    def _solve_expressions(self) -> list[tuple[tuple[int, int, int | Fraction], ...]]:
         """Per element u (by index), terms (i, u'.idx, c) with
         sigma_u = sum c . sigma_{s_i} . sigma_{u'} and l(u') = l(u) - 1;
         the identity has no terms."""
         g = self.group
         n = len(g)
-        expressions: list[tuple[tuple[int, int, Fraction], ...]] = [()] * n
+        expressions: list[tuple[tuple[int, int, int | Fraction], ...]] = [()] * n
         by_length: dict[int, list[WeylElement]] = {}
         for w in g.elements:
             by_length.setdefault(w.length, []).append(w)
@@ -178,11 +124,10 @@ class CohRing:
             span = RowSpan(n, track=True)
             for u_prime in by_length[k - 1]:
                 for i in range(1, self.rootsystem.rank + 1):
-                    product = self.chevalley_multiply(i, u_prime)
                     sources.append((i, u_prime.idx))
-                    span.add(_row(product))
+                    span.add(self.chevalley_multiply(i, u_prime))
             for u in by_length[k]:
-                combo = span.coefficients(_row(CohClass.basis(u)))
+                combo = span.coefficients({u.idx: 1})
                 if combo is None:
                     raise InternalConsistencyError(
                         f"sigma_{u} not spanned by generator products in degree {k}"
@@ -192,30 +137,30 @@ class CohRing:
                 )
         return expressions
 
-    def _full_table(self) -> list[list[CohClass]]:
+    def _full_table(self) -> list[list[Row]]:
         if self._table is None:
-            elements = self.group.elements
-            table = [[CohClass.basis(v) for v in elements]]  # unit row
-            for u in elements[1:]:
+            n = len(self.group)
+            table = [[{v: 1} for v in range(n)]]  # unit row
+            for u in range(1, n):
                 row = []
-                for v in elements:
-                    acc = CohClass()
-                    for i, up_idx, coeff in self.expressions[u.idx]:
-                        acc = acc + self.chevalley_class(i, table[up_idx][v.idx]).scale(coeff)
+                for v in range(n):
+                    acc: Row = {}
+                    for i, up_idx, coeff in self.expressions[u]:
+                        subtract_scaled(acc, -coeff, self.chevalley_class(i, table[up_idx][v]))
                     row.append(acc)
                 table.append(row)
             self._table = table
         return self._table
 
-    def multiply_basis(self, u: WeylElement, v: WeylElement) -> CohClass:
-        return self._full_table()[u.idx][v.idx]
+    def multiply_basis(self, u: WeylElement, v: WeylElement) -> Row:
+        return dict(self._full_table()[u.idx][v.idx])
 
-    def multiply(self, a: CohClass, b: CohClass) -> CohClass:
+    def multiply(self, a: Row, b: Row) -> Row:
         table = self._full_table()
-        out = CohClass()
-        for u, cu in a.coeffs.items():
-            for v, cv in b.coeffs.items():
-                out = out + table[u.idx][v.idx].scale(cu * cv)
+        out: Row = {}
+        for u, cu in a.items():
+            for v, cv in b.items():
+                subtract_scaled(out, -cu * cv, table[u][v])
         return out
 
     # -- invariants of a simple reflection and the splitting ---------------
@@ -229,9 +174,9 @@ class CohRing:
                 raise InternalConsistencyError("invariant basis is not half the group")
             span = RowSpan(n, track=True)
             for w in inv:
-                span.add(_row(CohClass.basis(w)))
+                span.add({w.idx: 1})
             for w in inv:
-                span.add(_row(self.chevalley_multiply(i, w)))
+                span.add(self.chevalley_multiply(i, w))
             if span.rank != n:  # pragma: no cover - internal self-check
                 raise InternalConsistencyError(
                     f"sigma_{i} C^s + C^s does not span C for i={i}"
@@ -243,25 +188,25 @@ class CohRing:
         """{w : w s_i > w}, the Schubert support of C^{s_i} (i 1-based)."""
         return list(self._invariant[i - 1])
 
-    def split(self, i: int, c: CohClass) -> tuple[CohClass, CohClass]:
+    def split(self, i: int, c: Row) -> tuple[Row, Row]:
         """Unique x, y with c = x + sigma_{s_i} y and x, y in C^{s_i}."""
         inv = self._invariant[i - 1]
-        combo = self._split_spans[i - 1].coefficients(_row(c))
+        combo = self._split_spans[i - 1].coefficients(c)
         if combo is None:  # pragma: no cover - internal self-check
             raise InternalConsistencyError("split solve failed on a full basis")
         m = len(inv)
-        x: dict[WeylElement, Fraction] = {}
-        y: dict[WeylElement, Fraction] = {}
+        x: Row = {}
+        y: Row = {}
         for src, coeff in combo.items():
             if src < m:
-                x[inv[src]] = coeff
+                x[inv[src].idx] = coeff
             else:
-                y[inv[src - m]] = coeff
-        return CohClass(x), CohClass(y)
+                y[inv[src - m].idx] = coeff
+        return x, y
 
     # -- presentation ----------------------------------------------------
 
-    def generator_table(self) -> list[tuple[WeylElement, list[CohClass]]]:
+    def generator_table(self) -> list[tuple[WeylElement, list[Row]]]:
         """Rows sigma_w, columns sigma_{s_1} ... sigma_{s_r}."""
         return [
             (w, [self.chevalley_multiply(i, w) for i in range(1, self.rootsystem.rank + 1)])

@@ -42,7 +42,7 @@ from typing import Iterable, Sequence
 
 from .linalg import QMatrix, Row, RowSpan, canonical_basis, divide, nullspace_of_rows
 from .rootsystem import WeylElement, WeylGroup
-from .schubert import CohClass, CohRing, InternalConsistencyError
+from .schubert import CohRing, InternalConsistencyError
 
 
 class GradedModule:
@@ -111,11 +111,11 @@ def derived_actions(ring: CohRing, gens: Sequence[QMatrix], top: int | None = No
     return out
 
 
-def class_matrix(actions: Sequence[QMatrix], c: CohClass, dim: int) -> QMatrix:
+def class_matrix(actions: Sequence[QMatrix], c: Row, dim: int) -> QMatrix:
     """The action of the class c, given the derived actions of its support."""
     out = QMatrix.zeros(dim, dim)
-    for w, coeff in c.coeffs.items():
-        out = out + actions[w.idx].scale(coeff)
+    for w, coeff in c.items():
+        out = out + actions[w].scale(coeff)
     return out
 
 
@@ -144,7 +144,7 @@ def extend(ring: CohRing, i: int, module: GradedModule) -> GradedModule:
     si = g.simple(i)
     gens: list[QMatrix] = []
     for j in range(1, ring.rootsystem.rank + 1):
-        x1, y1 = ring.split(i, CohClass.basis(g.simple(j)))
+        x1, y1 = ring.split(i, {g.simple(j).idx: 1})
         x2, y2 = ring.split(i, ring.chevalley_multiply(j, si))
         x1m, y1m, x2m, y2m = (class_matrix(low, c, module.dim) for c in (x1, y1, x2, y2))
         # entry (2m + a, 2k + b) of the action is entry (m, k) of block (a, b)

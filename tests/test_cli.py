@@ -47,6 +47,23 @@ def test_cohomology_table(capsys):
     assert "σ[1.2] + σ[2.1]" in out
 
 
+#: sha256 of `cohomology --table` stdout; B2, G2 and B3 have fractional
+#: Chevalley scalars, so their tables pin the ring arithmetic off type A
+COHOMOLOGY_TABLE_SHA256 = {
+    "A2": "4d2c9664628f57f2f3613498d5d6792709fed7c8fe7e30d5c353dc80c49c0b22",
+    "B2": "15e7d0f866d1185b225bd1f039119e856ee9aef77033b661d635f7ae66b30ad1",
+    "G2": "02b99add8a5a5d9b0a69dbb70a6f3345ea40e2deb18fb685b68d8fc3087b5c7f",
+    "B3": "0a188de55a7cb2be279fd82bd6b2f46cf9f7ff3623565c9e28e4f784a1cdf3a8",
+}
+
+
+@pytest.mark.parametrize("name", sorted(COHOMOLOGY_TABLE_SHA256))
+def test_cohomology_table_bytes_are_pinned(name, capsys):
+    code, out, _ = run_cli("cohomology", "--type", name, "--table", capsys=capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == COHOMOLOGY_TABLE_SHA256[name]
+
+
 def test_cohomology_invariants(capsys):
     code, out, _ = run_cli("cohomology", "--type", "A2", capsys=capsys)
     assert code == 0

@@ -24,10 +24,10 @@ from oquiver.icmod import (
     validate,
     verdier_dual,
 )
-from oquiver.linalg import QMatrix
+from oquiver.linalg import QMatrix, rank
 from oquiver.quiver import build_quiver
 from oquiver.rootsystem import build, generate_weyl
-from oquiver.schubert import InternalConsistencyError, build_ring
+from oquiver.schubert import build_ring
 from oquiver.soergel import build_all
 
 F = Fraction
@@ -155,10 +155,11 @@ def test_verdier_involution_other_types(a1q):
 def test_duality_pairings_are_symmetric(a2q):
     # the degree-0 isomorphism V_w -> V_w* is a symmetric pairing, which is
     # what makes applying the dual twice land exactly on the original data
-    isos, inverses = icmod._duality_isos(a2q)
-    for phi, inverse in zip(isos, inverses):
+    isos = icmod._duality_isos(a2q)
+    assert len(isos) == len(a2q.group)
+    for phi in isos:
         assert phi == phi.transpose()
-        assert phi * inverse == QMatrix.identity(phi.rows)
+        assert rank(phi) == phi.rows == phi.cols
     assert icmod._duality_isos(a2q) is icmod._duality_isos(a2q)
 
 
@@ -220,11 +221,3 @@ def test_boundary_absent_between_nonincident(a2q):
         for (y, w) in generic_rep(a2q, rng).boundary:
             assert (y, w) in a2q.hom1
 
-
-def test_invert_detects_singular_matrices():
-    for singular in (QMatrix.zeros(2, 2), QMatrix([[1, 1], [1, 1]]), QMatrix([[1, 2]])):
-        with pytest.raises(InternalConsistencyError, match="singular"):
-            icmod._invert(singular)
-    m = QMatrix([[2, 1], [1, 1]])
-    assert icmod._invert(m) == QMatrix([[1, -1], [-1, 2]])
-    assert icmod._invert(m) * m == QMatrix.identity(2)

@@ -157,6 +157,15 @@ def test_json_round_trip(a2_quiver):
         assert len(doc["vertices"]) == 6
 
 
+@pytest.mark.parametrize("coeff", ["0.5", "1e10000000"])
+def test_parse_relations_reads_only_written_rationals(a2_quiver, coeff):
+    # "p" and "p/q" only: a decimal is refused, and an exponent never builds its integer
+    doc = json.loads(json.dumps(to_json_doc(a2_quiver)))
+    doc["relations"][0]["terms"][0]["coeff"] = coeff
+    with pytest.raises(ValueError):
+        parse_relations(a2_quiver, doc)
+
+
 def test_vertex_ids(a2_quiver, a1_quiver):
     g = a2_quiver.group
     ids = vertex_ids(a2_quiver, appendix_numbering=True)

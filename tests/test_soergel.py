@@ -6,7 +6,7 @@ from oquiver.checks import word_module_family
 from oquiver.kl import ih_graded_dims
 from oquiver.linalg import QMatrix, rank
 from oquiver.rootsystem import build, generate_weyl
-from oquiver.schubert import CohClass, build_ring
+from oquiver.schubert import build_ring
 from oquiver.soergel import (
     build_all,
     class_matrix,
