@@ -11,13 +11,19 @@ vertex spaces, and the term (k, matrix) on pair (y, w) is the map on arrow
 k of y -> w.
 Verdier duality dualizes stalks and transposes boundary maps against the
 self-duality of each V_w, with no extra signs.
+
+What depends only on the quiver is solved once per quiver: the pairings
+V_w -> V_w*, and per pair the dual of each arrow in the Hom^1 basis.  So an
+operation on a document does only per-document work: d is written entry by
+entry into the rows of the total complex, d^2 = 0 is tested one row at a
+time, and a dual scales and sums transposed stalk matrices.
 """
 
 from __future__ import annotations
 
 import functools
 
-from .linalg import QMatrix, Row, format_rational, in_span, parse_rational, rank
+from .linalg import QMatrix, Row, format_rational, in_span, parse_rational, rank, subtract_scaled
 from .quiver import Quiver
 from .schubert import InternalConsistencyError
 from .soergel import GradedModule, graded_hom_basis
@@ -67,19 +73,24 @@ class ICModule:
         return self.stalks == other.stalks and self.boundary == other.boundary
 
 
+def _check_term(q: Quiver, stalks: dict[int, int], y: int, w: int, k: int, mat: QMatrix) -> None:
+    """Term (k, mat) of the pair (y, w) names an arrow and maps stalk y to stalk w."""
+    narrows = len(q.hom1.get((y, w), ()))
+    if narrows == 0:
+        raise ShapeError(f"boundary on non-incident pair ({y}, {w})")
+    if not 0 <= k < narrows:
+        raise ShapeError(f"hom index {k} out of range on pair ({y}, {w})")
+    sy, sw = stalks.get(y, 0), stalks.get(w, 0)
+    if mat.rows != sw or mat.cols != sy:
+        raise ShapeError(
+            f"stalk matrix on pair ({y}, {w}) is {mat.rows}x{mat.cols}, expected {sw}x{sy}"
+        )
+
+
 def _check_shapes(q: Quiver, m: ICModule) -> None:
     for (y, w), terms in m.boundary.items():
-        narrows = len(q.hom1.get((y, w), ()))
-        if narrows == 0:
-            raise ShapeError(f"boundary on non-incident pair ({y}, {w})")
         for k, mat in terms:
-            if not 0 <= k < narrows:
-                raise ShapeError(f"hom index {k} out of range on pair ({y}, {w})")
-            if mat.rows != m.stalk_dim(w) or mat.cols != m.stalk_dim(y):
-                raise ShapeError(
-                    f"stalk matrix on pair ({y}, {w}) is {mat.rows}x{mat.cols}, "
-                    f"expected {m.stalk_dim(w)}x{m.stalk_dim(y)}"
-                )
+            _check_term(q, m.stalks, y, w, k, mat)
 
 
 def _total_layout(q: Quiver, m: ICModule):
@@ -100,20 +111,28 @@ def _total_layout(q: Quiver, m: ICModule):
 
 
 def assemble_differential(q: Quiver, m: ICModule) -> tuple[QMatrix, list[int]]:
-    """The total differential and the degree of each total-complex basis vector."""
+    """The total differential and the degree of each total-complex basis vector.
+
+    Term (k, B) on pair (y, w) adds A (x) B for the arrow A = hom1[(y, w)][k]:
+    entry A[r, c] B[s, t] lands at row r s_w + s of block w and column
+    c s_y + t of block y, written straight into the rows of d."""
     _check_shapes(q, m)
     offsets, degrees, total = _total_layout(q, m)
     rows: list[Row] = [{} for _ in range(total)]
     for (y, w), terms in m.boundary.items():
         if y not in offsets or w not in offsets:
             continue  # a zero-dimensional stalk carries no maps
-        block = None
-        for k, stalk_map in terms:
-            piece = q.hom1[(y, w)][k].kron(stalk_map)
-            block = piece if block is None else block + piece
         oy, ow = offsets[y], offsets[w]
-        for r, c, value in block.nonzero_items():
-            rows[ow + r][oy + c] = value
+        sy, sw = m.stalk_dim(y), m.stalk_dim(w)
+        arrows = q.hom1[(y, w)]
+        for k, stalk_map in terms:
+            for r, arrow_row in enumerate(arrows[k].data):
+                for c, a in arrow_row.items():
+                    base = oy + c * sy
+                    for s, stalk_row in enumerate(stalk_map.data, ow + r * sw):
+                        target = rows[s]
+                        for t, b in stalk_row.items():
+                            target[base + t] = target.get(base + t, 0) + a * b
     return QMatrix.from_rows(rows, total), degrees
 
 
@@ -121,7 +140,16 @@ def _squares_to_zero(d: QMatrix, degrees: list[int]) -> bool:
     for p, c, _ in d.nonzero_items():
         if degrees[p] != degrees[c] + 1:  # pragma: no cover - structural
             raise InternalConsistencyError("differential is not of degree 1")
-    return (d * d).is_zero()
+    # one row of d*d at a time, stopping at the first that is not zero
+    data = d.data
+    for row in data:
+        acc: Row = {}
+        for k, a in row.items():
+            for j, b in data[k].items():
+                acc[j] = acc.get(j, 0) + a * b
+        if any(acc.values()):
+            return False
+    return True
 
 
 def validate(q: Quiver, m: ICModule) -> bool:
@@ -186,9 +214,10 @@ def _dual_module(module: GradedModule) -> GradedModule:
 
 
 @functools.lru_cache(maxsize=1)
-def _duality_isos(q: Quiver) -> list[QMatrix]:
-    """Degree-0 isomorphisms V_w -> V_w* realizing Poincare self-duality;
-    kept for the last quiver only (it hashes by identity)."""
+def _duality(q: Quiver) -> tuple[list[QMatrix], dict[tuple[int, int], list[Row]]]:
+    """The degree-0 isomorphisms V_w -> V_w* realizing Poincare self-duality,
+    and the transport of each pair, filled in by :func:`_transport` on first
+    use; kept for the last quiver only (it hashes by identity)."""
     isos = []
     for w in q.group.elements:
         module = q.family.modules[w.idx]
@@ -198,7 +227,7 @@ def _duality_isos(q: Quiver) -> list[QMatrix]:
                 f"self-duality pairing of V[{w}] is not unique and invertible"
             )
         isos.append(maps[0])
-    return isos
+    return isos, {}
 
 
 def _entries(m: QMatrix) -> Row:
@@ -206,35 +235,49 @@ def _entries(m: QMatrix) -> Row:
     return {p * m.cols + c: v for p, c, v in m.nonzero_items()}
 
 
+def _transport(q: Quiver, isos: list[QMatrix], w: int, y: int) -> list[Row]:
+    """Per arrow A_k of the pair (w, y), the coefficients c of its dual
+    phi_w^-1 A_k^T phi_y = sum c_j B_j over the basis B_j of hom1[(y, w)].
+
+    That equation holds exactly when A_k^T phi_y = sum c_j phi_w B_j, since
+    the pairing phi_w is invertible; so no inverse is ever formed."""
+    basis = q.hom1[(y, w)]
+    size = basis[0].rows * basis[0].cols
+    basis_rows = [_entries(isos[w] * b) for b in basis]
+    out = []
+    for arrow in q.hom1[(w, y)]:
+        ok, coeffs = in_span(_entries(arrow.transpose() * isos[y]), basis_rows, size)
+        if not ok:  # pragma: no cover - internal self-check
+            raise InternalConsistencyError("transposed boundary left Hom^1")
+        out.append(coeffs)
+    return out
+
+
 def verdier_dual(q: Quiver, m: ICModule) -> ICModule:
     """Dual stalks; boundary (y, w) is the graded transpose of boundary (w, y),
     re-expressed in the canonical Hom^1 bases.  No sign is introduced.
 
-    The dual of a basis map A is phi_w^-1 A^T phi_y = sum c_j B_j over the
-    basis B_j, which holds exactly when A^T phi_y = sum c_j phi_w B_j since
-    the pairing phi_w is invertible; so no inverse is ever formed."""
+    The re-expression depends only on the quiver: arrow k of (w, y) dualizes
+    to sum_j c_j B_j, with c solved once per quiver and pair (`_transport`).
+    A term (k, S) then contributes c_j S^T to the dual term j."""
     _check_shapes(q, m)
-    isos = _duality_isos(q)
+    isos, transport = _duality(q)
     boundary: dict[tuple[int, int], list[tuple[int, QMatrix]]] = {}
     for (w, y), terms in m.boundary.items():
         # the stored pair maps stalk w -> stalk y; the dual pair is (y, w)
-        basis = q.hom1[(y, w)]
-        size = basis[0].rows * basis[0].cols
-        basis_rows = [_entries(isos[w] * b) for b in basis]
-        dual_terms: dict[int, QMatrix] = {}
+        if (w, y) not in transport:
+            transport[(w, y)] = _transport(q, isos, w, y)
+        coeffs = transport[(w, y)]
+        sums: dict[int, list[Row]] = {}
         for k, stalk_map in terms:
-            transported = q.hom1[(w, y)][k].transpose() * isos[y]
-            ok, coeffs = in_span(_entries(transported), basis_rows, size)
-            if not ok:  # pragma: no cover - internal self-check
-                raise InternalConsistencyError("transposed boundary left Hom^1")
-            for idx, coeff in coeffs.items():
-                piece = stalk_map.transpose().scale(coeff)
-                if idx in dual_terms:
-                    dual_terms[idx] = dual_terms[idx] + piece
-                else:
-                    dual_terms[idx] = piece
-        if dual_terms:
-            boundary[(y, w)] = sorted(dual_terms.items())
+            transposed = stalk_map.transpose().data
+            for j, c in coeffs[k].items():
+                rows = sums.setdefault(j, [{} for _ in transposed])
+                for target, row in zip(rows, transposed):
+                    subtract_scaled(target, -c, row)
+        boundary[(y, w)] = [
+            (j, QMatrix.from_rows(rows, m.stalk_dim(y))) for j, rows in sorted(sums.items())
+        ]
     return ICModule(dict(m.stalks), boundary)
 
 
@@ -324,7 +367,7 @@ def icmodule_from_doc(q: Quiver, doc: dict) -> ICModule:
         if type(k) is not int:
             raise ShapeError(f"{where}: k is {k!r}, not an integer")
         mat = _stalk_matrix(entry.get("matrix"), stalks.get(y, 0), where)
+        # checked before ICModule drops zero matrices, so a zero one is checked too
+        _check_term(q, stalks, y, w, k, mat)
         boundary.setdefault((y, w), []).append((k, mat))
-    m = ICModule(stalks, boundary)
-    _check_shapes(q, m)
-    return m
+    return ICModule(stalks, boundary)

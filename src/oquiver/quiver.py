@@ -243,9 +243,15 @@ def _product_rows(hom1: Hom1, keys: Sequence[PathKey]) -> list[Row]:
     per nonzero matrix entry (p, q) of the path products, in (p, q) order."""
     entries: dict[tuple[int, int], Row] = {}
     for n, (y, j, z, i, w) in enumerate(keys):
-        product = hom1[(z, w)][i] * hom1[(y, z)][j]
-        for p, q, value in product.nonzero_items():
-            entries.setdefault((p, q), {})[n] = value
+        first = hom1[(y, z)][j].data
+        for p, row in enumerate(hom1[(z, w)][i].data):
+            acc: Row = {}
+            for k, a in row.items():
+                for q, b in first[k].items():
+                    acc[q] = acc.get(q, 0) + a * b
+            for q, value in acc.items():
+                if value:
+                    entries.setdefault((p, q), {})[n] = exact(value)
     return [entries[pq] for pq in sorted(entries)]
 
 

@@ -38,7 +38,7 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .linalg import QMatrix, Row, RowSpan, canonical_basis, divide, nullspace_of_rows
 from .rootsystem import WeylElement, WeylGroup
@@ -74,10 +74,10 @@ def _scaled(rows: Iterable[Row], d: int) -> list[dict[int, int]]:
     return [{j: v.numerator * (d // v.denominator) for j, v in row.items()} for row in rows]
 
 
-def derived_actions(ring: CohRing, gens: Sequence[QMatrix], top: int | None = None) -> list[QMatrix]:
-    """The action matrix of sigma_v for every v in element order, up to
-    length `top` (all of W by default), from the generator matrices alone
-    through the ring's expressions sigma_u = sum c . sigma_{s_i} . sigma_{u'}.
+def _action_rows(ring: CohRing, gens: Sequence[QMatrix], top: int | None) -> Iterator[list[Row]]:
+    """The Rows of sigma_v for every v in element order, up to length `top`
+    (all of W when None), from the generator matrices alone through the
+    ring's expressions sigma_u = sum c . sigma_{s_i} . sigma_{u'}.
 
     The recursion runs over the integers.  With d_c and d_g clearing the
     denominators of the expression coefficients and of the generator
@@ -91,7 +91,7 @@ def derived_actions(ring: CohRing, gens: Sequence[QMatrix], top: int | None = No
     d_gen = _common_denominator(v for a in gens for row in a.data for v in row.values())
     int_gens = [_scaled(a.data, d_gen) for a in gens]
     scaled = [[{j: 1} for j in range(dim)]]
-    out = [QMatrix.identity(dim)]
+    yield scaled[0]
     for u, expr in zip(elements[1:], terms[1:]):
         acc: list[dict[int, int]] = [{} for _ in range(dim)]
         for i, up_idx, coeff in expr:
@@ -105,10 +105,14 @@ def derived_actions(ring: CohRing, gens: Sequence[QMatrix], top: int | None = No
         acc = [{j: v for j, v in row.items() if v} for row in acc]
         scaled.append(acc)
         denominator = (d_coeff * d_gen) ** u.length
-        out.append(QMatrix.from_rows(
-            ({j: divide(v, denominator) for j, v in row.items()} for row in acc), dim
-        ))
-    return out
+        yield [{j: divide(v, denominator) for j, v in row.items()} for row in acc]
+
+
+def derived_actions(ring: CohRing, gens: Sequence[QMatrix], top: int | None = None) -> list[QMatrix]:
+    """The action matrix of sigma_v for every v in element order, up to
+    length `top` (all of W by default); see `_action_rows`."""
+    dim = gens[0].cols
+    return [QMatrix.from_rows(rows, dim) for rows in _action_rows(ring, gens, top)]
 
 
 def class_matrix(actions: Sequence[QMatrix], c: Row, dim: int) -> QMatrix:
@@ -233,8 +237,14 @@ def _action_cols(ring: CohRing, module: GradedModule) -> tuple[tuple[Row, ...], 
     run target-major.
     """
     span = (max(module.degrees) - min(module.degrees)) // 2
-    actions = derived_actions(ring, module.gens, top=span)
-    return tuple(a.transpose().data for a in actions)
+    out = []
+    for rows in _action_rows(ring, module.gens, span):
+        columns: list[Row] = [{} for _ in range(module.dim)]
+        for i, row in enumerate(rows):
+            for j, a in row.items():
+                columns[j][i] = a
+        out.append(tuple(columns))
+    return tuple(out)
 
 
 def _act(columns: tuple[tuple[Row, ...], ...], v: int, vector: Row) -> Row:

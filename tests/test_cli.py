@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 from oquiver import cache, rootsystem
 from oquiver.cli import main
-from oquiver.icmod import MAX_TOTAL_DIM, icmodule_from_doc
+from oquiver.checks import sample_reps
+from oquiver.icmod import MAX_TOTAL_DIM, icmodule_from_doc, icmodule_to_doc
 from oquiver.quiver import parse_relations
 
 
@@ -233,7 +234,7 @@ def test_appendix_numbering_outside_a2_is_domain_error(name, tmp_path, capsys):
 
 
 def test_icmod_commands(tmp_path, capsys):
-    from oquiver.icmod import ICModule, icmodule_to_doc
+    from oquiver.icmod import ICModule
     from oquiver.linalg import QMatrix
 
     pipeline = cache.load_pipeline("A1", no_cache=True)
@@ -521,6 +522,15 @@ def _a1_entry(**changes):
     return [{"from": "1", "to": "e", "k": 0, "matrix": [["1"]], **changes}]
 
 
+def _a2_doc(*boundary):
+    """An A2 document with stalks e: 1 and 1: 1 and the given boundary entries."""
+    return {"system": {"type": "A", "rank": 2}, "stalks": {"e": 1, "1": 1}, "boundary": list(boundary)}
+
+
+def _zeros(rows, cols):
+    return [["0"] * cols for _ in range(rows)]
+
+
 @pytest.mark.parametrize(
     "doc,fragment",
     [
@@ -539,10 +549,18 @@ def _a1_entry(**changes):
         (_a1_doc(stalks={"e": 10**30}), f"more than {MAX_TOTAL_DIM} dimensions"),
         # dim V_e = 1 and dim V_1 = 2, so one past the bound
         (_a1_doc(stalks={"e": 1, "1": MAX_TOTAL_DIM // 2}), f"more than {MAX_TOTAL_DIM} dimensions"),
+        # zero matrices are checked like any other before they are dropped
+        (_a2_doc({"from": "e", "to": "1", "k": 7, "matrix": _zeros(2, 3)}), "hom index 7 out of range"),
+        (_a2_doc({"from": "e", "to": "1", "k": 7, "matrix": [["1"]]}), "hom index 7 out of range"),
+        (_a2_doc({"from": "e", "to": "1.2.1", "k": 0, "matrix": [["0"]]}), "non-incident pair"),
+        (_a2_doc({"from": "e", "to": "1", "k": 0, "matrix": _zeros(2, 3)}), "is 2x3, expected 1x1"),
+        (_a2_doc({"from": "e", "to": "1", "k": 0, "matrix": []}), "is 0x1, expected 1x1"),
     ],
     ids=["no-stalks", "k-text", "entry-abc", "entry-1/0", "list", "system-text",
          "stalk-negative", "stalk-float", "matrix-text", "entry-exponent",
-         "entry-huge-exponent", "entry-decimal", "stalk-huge", "stalks-past-bound"],
+         "entry-huge-exponent", "entry-decimal", "stalk-huge", "stalks-past-bound",
+         "zero-k-out-of-range", "k-out-of-range", "zero-non-incident", "zero-bad-shape",
+         "empty-matrix"],
 )
 def test_malformed_icmodule_document_is_one_error_line(doc, fragment, tmp_path, capsys):
     file = tmp_path / "doc.json"
@@ -552,6 +570,72 @@ def test_malformed_icmodule_document_is_one_error_line(doc, fragment, tmp_path, 
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert fragment in err
+
+
+#: exit code and sha256 of stdout of `icmod validate|cohomology|dual --no-cache`
+#: on the documents of `sample_reps(A3, seed 13, 12)`: three semisimple and
+#: three one-way modules (valid), and six generic ones (invalid)
+ICMOD_SHA256 = {
+    "validate": [
+        (0, "63c2f484de999eceae07502c34bc2f0c80fe4a222c571b009fa0937089c394bf"),
+        (0, "63c2f484de999eceae07502c34bc2f0c80fe4a222c571b009fa0937089c394bf"),
+        (1, "75ede45a5812dffe13e3a41b9f01bde531cb7d3131360f279624379e6aa0bd20"),
+        (1, "75ede45a5812dffe13e3a41b9f01bde531cb7d3131360f279624379e6aa0bd20"),
+        (0, "63c2f484de999eceae07502c34bc2f0c80fe4a222c571b009fa0937089c394bf"),
+        (0, "63c2f484de999eceae07502c34bc2f0c80fe4a222c571b009fa0937089c394bf"),
+        (1, "75ede45a5812dffe13e3a41b9f01bde531cb7d3131360f279624379e6aa0bd20"),
+        (1, "75ede45a5812dffe13e3a41b9f01bde531cb7d3131360f279624379e6aa0bd20"),
+        (0, "63c2f484de999eceae07502c34bc2f0c80fe4a222c571b009fa0937089c394bf"),
+        (0, "63c2f484de999eceae07502c34bc2f0c80fe4a222c571b009fa0937089c394bf"),
+        (1, "75ede45a5812dffe13e3a41b9f01bde531cb7d3131360f279624379e6aa0bd20"),
+        (1, "75ede45a5812dffe13e3a41b9f01bde531cb7d3131360f279624379e6aa0bd20"),
+    ],
+    "cohomology": [
+        (0, "f102b02234c9259886d3661b8abf8e67b13214c2c5b87e6fe6afc9aabb397996"),
+        (0, "1c0c016cd793d648a1e2f7019a5906902947f5e631eab5b355f1054676c62ae5"),
+        (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        (0, "73ab2b4b0acd81781c38805794c0f6311dc06cd633ff6e6dc50971c432e8a99d"),
+        (0, "da791ab57745dbaa90345bf434ff2cec7914694329bf57a93060665067ec3003"),
+        (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        (0, "83ecf745c0c87d8a1be0f66e6b34ffbc382ec042ef4a141bff450663bbf163af"),
+        (0, "f32a58dec808526991755f3cf762b6079098b6df96e4d7cfff697fe23258d43d"),
+        (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ],
+    "dual": [
+        (0, "0af7c23ec26f0ea1d6a3148e2aa0a4682e255110701a2098b71d16bc7b23db7d"),
+        (0, "0cd16b1004be35e887337357793ace8fcec61c961efb3cf590afc239eb19888a"),
+        (0, "e651b70501cd34f1ec70bb6c5a6432a976e037dddef5e88352ee6df2f4ac405e"),
+        (0, "f32ae0889129a32d940cced7da2b9784076a0201540f1ec7b44cc146161270d4"),
+        (0, "975bb1ac6a42ee5ff195dc60b53af20b922ef399f77a4050823c3f7f03be1041"),
+        (0, "4cd809b551efc1aa72441891eb2cf24cdec2bd88cacd23e2a8efbecb4ea94bd9"),
+        (0, "c46f3848256bf50c5fabf9d32ced69336e45431fa9ad4cde1e2bf11b0ec61681"),
+        (0, "cf790a46a0590c7f2919deac1c949c76b0f9c2186d3822b439bbe3870a7eaa09"),
+        (0, "ae7008854c072f3acd68432d64432eb2603ba4b1dbf5807c5e72e592380801e3"),
+        (0, "245ae4f42611de515cef4de3963ef45b070b33ae25983cdc12a3200638798950"),
+        (0, "6ed0d974f53cefbea0cbcd8f3840894fa6d3992a799ca4564afe4ebbd9812768"),
+        (0, "aad4dc3d820f152aabf58877914320061b2a49f65c35278f25387cdd927d415e"),
+    ],
+}
+
+
+@pytest.fixture(scope="module")
+def a3_documents():
+    q = cache.load_pipeline("A3", no_cache=True).quiver
+    return [icmodule_to_doc(q, m) for m in sample_reps(q, 13, 12)]
+
+
+@pytest.mark.parametrize("command", sorted(ICMOD_SHA256))
+def test_icmod_bytes_are_pinned(command, a3_documents, tmp_path, capsys):
+    outputs = []
+    for n, doc in enumerate(a3_documents):
+        file = tmp_path / f"{n}.json"
+        file.write_text(json.dumps(doc))
+        code, out, _ = run_cli("icmod", command, str(file), "--no-cache", capsys=capsys)
+        outputs.append((code, hashlib.sha256(out.encode()).hexdigest()))
+    assert outputs == ICMOD_SHA256[command]
 
 
 def test_stalks_at_the_bound_are_accepted(tmp_path, capsys):
