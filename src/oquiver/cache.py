@@ -20,6 +20,9 @@ the canonical payload, and are written atomically through a unique
 temporary file.  A stale version or a malformed or corrupted file is
 reported and silently recomputed; rationals restore exactly, so a warm run
 reproduces a cold run byte for byte.
+
+The JSON the tool reads (cache files, IC-module documents) goes through
+`read_json`, and the indented documents it prints through `indented_json`.
 """
 
 from __future__ import annotations
@@ -29,8 +32,8 @@ import hashlib
 import json
 import os
 import tempfile
-from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable
 
@@ -64,6 +67,52 @@ def read_json(path: Path):
         raise
     except (OSError, ValueError, RecursionError) as exc:
         raise UnreadableJSON(f"{path.name} unreadable ({exc})") from None
+
+
+def indented_json(obj) -> str:
+    """`json.dumps(obj, indent=2)`, byte for byte, for a document of
+    string-keyed dicts, lists, strings, ints, bools and None.  CPython before
+    3.14 runs its pure-Python encoder whenever `indent` is set; this writes
+    the same text into one list, strings through the C escaper."""
+    out: list[str] = []
+    _write_json(obj, out, "\n")
+    return "".join(out)
+
+
+def _write_json(obj, out: list[str], newline: str) -> None:
+    """Append `obj` to `out`; `newline` starts a line at its own depth.
+    String and int leaves inside a container are written in place, without
+    a call, so only the rare other leaves reach `json.dumps`."""
+    if not obj or not isinstance(obj, (dict, list, tuple)):
+        out.append(json.dumps(obj))  # bool, None, a top-level leaf, and {} or [] inline
+    elif isinstance(obj, dict):
+        inner = newline + "  "
+        separator, comma = "{" + inner, "," + inner
+        for key, item in obj.items():
+            out.append(separator)
+            separator = comma
+            out.append(encode_basestring_ascii(key))
+            out.append(": ")
+            if type(item) is str:
+                out.append(encode_basestring_ascii(item))
+            elif type(item) is int:
+                out.append(int.__repr__(item))
+            else:
+                _write_json(item, out, inner)
+        out.append(newline + "}")
+    else:
+        inner = newline + "  "
+        separator, comma = "[" + inner, "," + inner
+        for item in obj:
+            out.append(separator)
+            separator = comma
+            if type(item) is str:
+                out.append(encode_basestring_ascii(item))
+            elif type(item) is int:
+                out.append(int.__repr__(item))
+            else:
+                _write_json(item, out, inner)
+        out.append(newline + "]")
 
 
 def default_cache_dir() -> Path:
@@ -277,14 +326,16 @@ def load(path: Path, group: WeylGroup, warn: Callable[[str], None]) -> Quiver | 
         return None
 
 
-@dataclass
 class Pipeline:
     """Everything computed for one root system."""
 
-    group: WeylGroup
-    ring: CohRing
-    family: ModuleFamily
-    quiver: Quiver
+    __slots__ = ("group", "ring", "family", "quiver")
+
+    def __init__(self, group: WeylGroup, ring: CohRing, family: ModuleFamily, quiver: Quiver):
+        self.group = group
+        self.ring = ring
+        self.family = family
+        self.quiver = quiver
 
 
 def load_pipeline(

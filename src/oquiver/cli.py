@@ -11,7 +11,6 @@ flags; `--seed` pins the randomized parts of `check`.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -117,7 +116,7 @@ def cmd_ih(args) -> int:
     w = pipeline.group.parse(args.element)
     module = pipeline.family.modules[w.idx]
     if args.dump:
-        print(json.dumps(cache_mod.module_doc(pipeline, w), indent=2))
+        print(cache_mod.indented_json(cache_mod.module_doc(pipeline, w)))
         return 0
     dims = module.graded_dims()
     print(" ".join(str(dims[d]) for d in sorted(dims)))
@@ -153,7 +152,7 @@ def cmd_quiver(args) -> int:
     pipeline = _pipeline(args)
     q = pipeline.quiver
     if args.format == "json":
-        text = json.dumps(to_json_doc(q, appendix_numbering=args.appendix_numbering), indent=2) + "\n"
+        text = cache_mod.indented_json(to_json_doc(q, appendix_numbering=args.appendix_numbering)) + "\n"
     elif args.format == "dot":
         text = to_dot(q, appendix_numbering=args.appendix_numbering)
     else:
@@ -205,7 +204,7 @@ def cmd_icmod_cohomology(args) -> int:
 def cmd_icmod_dual(args) -> int:
     pipeline, module = _load_icmodule(args)
     dual = icmod_ops.verdier_dual(pipeline.quiver, module)
-    text = json.dumps(icmod_ops.icmodule_to_doc(pipeline.quiver, dual), indent=2) + "\n"
+    text = cache_mod.indented_json(icmod_ops.icmodule_to_doc(pipeline.quiver, dual)) + "\n"
     _emit(text, args.out)
     return 0
 

@@ -12,8 +12,6 @@ choice beyond determinism.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .linalg import QMatrix
 from .rootsystem import WeylElement
 from .soergel import ModuleFamily, graded_hom_basis
@@ -21,12 +19,16 @@ from .soergel import ModuleFamily, graded_hom_basis
 __all__ = ["HomBasis", "hom_basis"]
 
 
-@dataclass(frozen=True)
 class HomBasis:
-    source: WeylElement
-    target: WeylElement
-    degree: int
-    basis: tuple[QMatrix, ...]
+    """The canonical basis of Hom^degree(V_source, V_target)."""
+
+    __slots__ = ("source", "target", "degree", "basis")
+
+    def __init__(self, source: WeylElement, target: WeylElement, degree: int, basis: tuple[QMatrix, ...]):
+        self.source = source
+        self.target = target
+        self.degree = degree
+        self.basis = basis
 
     @property
     def dim(self) -> int:

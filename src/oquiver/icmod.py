@@ -369,5 +369,9 @@ def icmodule_from_doc(q: Quiver, doc: dict) -> ICModule:
         mat = _stalk_matrix(entry.get("matrix"), stalks.get(y, 0), where)
         # checked before ICModule drops zero matrices, so a zero one is checked too
         _check_term(q, stalks, y, w, k, mat)
-        boundary.setdefault((y, w), []).append((k, mat))
+        terms = boundary.setdefault((y, w), [])
+        if any(j == k for j, _ in terms):
+            # d would sum the two maps, but a dual written back gives one term
+            raise ShapeError(f"{where} repeats hom index {k} on pair ({y}, {w})")
+        terms.append((k, mat))
     return ICModule(stalks, boundary)

@@ -19,8 +19,6 @@ rather than a tautology.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .rootsystem import WeylElement, WeylGroup
 
 Poly = tuple[int, ...]  # coefficients, ascending in q
@@ -77,11 +75,15 @@ def pstr(a: Poly) -> str:
     return " + ".join(parts)
 
 
-@dataclass(frozen=True)
 class KLPolynomial:
-    y: WeylElement
-    w: WeylElement
-    coefficients: Poly
+    """P_{y, w}, its coefficients ascending in q."""
+
+    __slots__ = ("y", "w", "coefficients")
+
+    def __init__(self, y: WeylElement, w: WeylElement, coefficients: Poly):
+        self.y = y
+        self.w = w
+        self.coefficients = coefficients
 
     def __str__(self) -> str:
         return pstr(self.coefficients)

@@ -20,7 +20,6 @@ individual coefficients but not spans.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -39,12 +38,16 @@ class MalformedPath(ValueError):
     """A path reference names a missing vertex or arrow, or endpoints clash."""
 
 
-@dataclass(frozen=True)
 class Arrow:
-    source: WeylElement
-    target: WeylElement
-    index: int
-    matrix: QMatrix
+    """The `index`-th arrow from `source` to `target`, bound to its Hom^1 basis matrix."""
+
+    __slots__ = ("source", "target", "index", "matrix")
+
+    def __init__(self, source: WeylElement, target: WeylElement, index: int, matrix: QMatrix):
+        self.source = source
+        self.target = target
+        self.index = index
+        self.matrix = matrix
 
 
 class PathCombo:

@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 from oquiver import cache, rootsystem
 from oquiver.cli import main
 from oquiver.checks import sample_reps
-from oquiver.icmod import MAX_TOTAL_DIM, icmodule_from_doc, icmodule_to_doc
-from oquiver.quiver import parse_relations
+from oquiver.icmod import MAX_TOTAL_DIM, icmodule_from_doc, icmodule_to_doc, verdier_dual
+from oquiver.quiver import parse_relations, to_json_doc
 
 
 def run_cli(*argv, capsys):
@@ -88,6 +88,20 @@ def test_ih_dump(capsys):
     assert set(doc) == {"system", "element", "degrees", "action"}
     assert doc["degrees"] == [-1, 1]
     assert doc["action"]["1"] == [["0", "0"], ["1", "0"]]
+
+
+#: sha256 of `ih --dump --no-cache` stdout: degrees and every class's action
+IH_DUMP_SHA256 = {
+    ("A2", "1"): "c9572e1934d88d7bc278d1df68447cafcefafcf8abcc1e27444972c09b3e1b02",
+    ("B2", "1.2.1"): "8c3615f0104ed3a75a3778bbe42a532f5484325fc0140767bd8660db5a380ee8",
+}
+
+
+@pytest.mark.parametrize("name,element", sorted(IH_DUMP_SHA256))
+def test_ih_dump_bytes_are_pinned(name, element, capsys):
+    code, out, _ = run_cli("ih", "--type", name, "--element", element, "--dump", "--no-cache", capsys=capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == IH_DUMP_SHA256[(name, element)]
 
 
 def test_hom(capsys):
@@ -555,12 +569,14 @@ def _zeros(rows, cols):
         (_a2_doc({"from": "e", "to": "1.2.1", "k": 0, "matrix": [["0"]]}), "non-incident pair"),
         (_a2_doc({"from": "e", "to": "1", "k": 0, "matrix": _zeros(2, 3)}), "is 2x3, expected 1x1"),
         (_a2_doc({"from": "e", "to": "1", "k": 0, "matrix": []}), "is 0x1, expected 1x1"),
+        # summed into d, but a dual gives one term: `icmod dual` twice would differ
+        (_a1_doc(boundary=_a1_entry() + _a1_entry(matrix=[["2"]])), "repeats hom index 0 on pair (1, 0)"),
     ],
     ids=["no-stalks", "k-text", "entry-abc", "entry-1/0", "list", "system-text",
          "stalk-negative", "stalk-float", "matrix-text", "entry-exponent",
          "entry-huge-exponent", "entry-decimal", "stalk-huge", "stalks-past-bound",
          "zero-k-out-of-range", "k-out-of-range", "zero-non-incident", "zero-bad-shape",
-         "empty-matrix"],
+         "empty-matrix", "repeated-term"],
 )
 def test_malformed_icmodule_document_is_one_error_line(doc, fragment, tmp_path, capsys):
     file = tmp_path / "doc.json"
@@ -756,3 +772,46 @@ def test_any_cache_file_bytes_give_the_cold_quiver(blob):
         warning.startswith("warning: cache a1-v") and warning.endswith("; recomputing\n")
         and warning.count("\n") == 1
     )
+
+
+#: strings the JSON escaper treats specially: quotes, backslashes, control
+#: characters, non-ASCII and astral characters (written as surrogate pairs)
+awkward_strings = st.sampled_from(['"', "\\", "\x00", "\x1f", "\n\t\r\b\f", "\x7f", "é", "σ[1.2]", " ", "😀", ""])
+json_documents = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-(10**40), 10**40)
+    | awkward_strings | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=2).map(tuple)
+    | st.dictionaries(awkward_strings | st.text(max_size=4), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_documents)
+def test_indented_json_is_json_dumps_indent_2(doc):
+    assert cache.indented_json(doc) == json.dumps(doc, indent=2)
+
+
+def test_indented_json_writes_real_documents_as_json_dumps(a3_documents):
+    docs = []
+    for name in ("A2", "B2", "G2", "A3"):
+        pipeline = cache.load_pipeline(name, no_cache=True)
+        docs.append(to_json_doc(pipeline.quiver))
+    docs.append(cache.module_doc(pipeline, pipeline.group.parse("1.2.1")))
+    q = pipeline.quiver
+    duals = [icmodule_to_doc(q, verdier_dual(q, icmodule_from_doc(q, doc))) for doc in a3_documents]
+    assert any(dual["boundary"] for dual in duals)
+    for doc in docs + duals:
+        assert cache.indented_json(doc) == json.dumps(doc, indent=2)
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    # compared before and after, so what the interpreter's own start-up loads does not count
+    code = (
+        "import sys; before = set(sys.modules); import oquiver.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
+    )
+    env = {"PATH": "/usr/bin:/bin", "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
