@@ -46,10 +46,11 @@ class ICModule:
     """Stalk dimensions plus boundary terms (hom index, stalk matrix).
 
     Zero stalk matrices and empty pairs are normalized away, so equality of
-    the stored data is meaningful.
+    the stored data is meaningful.  The zero terms are set aside, not
+    forgotten: every operation checks their shapes like those of the others.
     """
 
-    __slots__ = ("stalks", "boundary")
+    __slots__ = ("stalks", "boundary", "_zero_terms")
 
     def __init__(
         self,
@@ -58,8 +59,14 @@ class ICModule:
     ):
         self.stalks = {w: int(d) for w, d in stalks.items() if d}
         self.boundary = {}
+        self._zero_terms = []
         for pair, terms in boundary.items():
-            kept = [(k, m) for k, m in terms if not m.is_zero()]
+            kept = []
+            for k, m in terms:
+                if m.is_zero():
+                    self._zero_terms.append((pair, k, m))
+                else:
+                    kept.append((k, m))
             kept.sort(key=lambda km: km[0])
             if kept:
                 self.boundary[pair] = kept
@@ -91,6 +98,8 @@ def _check_shapes(q: Quiver, m: ICModule) -> None:
     for (y, w), terms in m.boundary.items():
         for k, mat in terms:
             _check_term(q, m.stalks, y, w, k, mat)
+    for (y, w), k, mat in m._zero_terms:
+        _check_term(q, m.stalks, y, w, k, mat)
 
 
 def _total_layout(q: Quiver, m: ICModule):
@@ -367,7 +376,7 @@ def icmodule_from_doc(q: Quiver, doc: dict) -> ICModule:
         if type(k) is not int:
             raise ShapeError(f"{where}: k is {k!r}, not an integer")
         mat = _stalk_matrix(entry.get("matrix"), stalks.get(y, 0), where)
-        # checked before ICModule drops zero matrices, so a zero one is checked too
+        # checked on reading, so a bad entry is refused before a repeated one
         _check_term(q, stalks, y, w, k, mat)
         terms = boundary.setdefault((y, w), [])
         if any(j == k for j, _ in terms):

@@ -176,18 +176,6 @@ class QMatrix:
                 out[j][i] = a
         return QMatrix.from_rows(out, self.rows)
 
-    def kron(self, other: "QMatrix") -> "QMatrix":
-        """Kronecker product; block (i, k) of the result is self[i,k] * other."""
-        w = other.cols
-        return QMatrix.from_rows(
-            (
-                {k * w + u: a * b for k, a in row.items() for u, b in orow.items()}
-                for row in self.data
-                for orow in other.data
-            ),
-            self.cols * w,
-        )
-
     def is_zero(self) -> bool:
         return not any(self.data)
 

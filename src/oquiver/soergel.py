@@ -40,7 +40,9 @@ import math
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-from .linalg import QMatrix, Row, RowSpan, canonical_basis, divide, nullspace_of_rows
+from .linalg import (
+    QMatrix, Row, RowSpan, canonical_basis, divide, nullspace_of_rows, subtract_scaled
+)
 from .rootsystem import WeylElement, WeylGroup
 from .schubert import CohRing, InternalConsistencyError
 
@@ -74,45 +76,58 @@ def _scaled(rows: Iterable[Row], d: int) -> list[dict[int, int]]:
     return [{j: v.numerator * (d // v.denominator) for j, v in row.items()} for row in rows]
 
 
-def _action_rows(ring: CohRing, gens: Sequence[QMatrix], top: int | None) -> Iterator[list[Row]]:
+def _action_rows(
+    ring: CohRing, gens: Sequence[QMatrix], top: int | None, columns: bool = False
+) -> Iterator[list[Row]]:
     """The Rows of sigma_v for every v in element order, up to length `top`
     (all of W when None), from the generator matrices alone through the
-    ring's expressions sigma_u = sum c . sigma_{s_i} . sigma_{u'}.
+    ring's expressions sigma_u = sum c . sigma_{s_i} . sigma_{u'}; with
+    `columns` the columns of sigma_v instead.
 
     The recursion runs over the integers.  With d_c and d_g clearing the
     denominators of the expression coefficients and of the generator
     matrices, S_u = (d_c d_g)^l(u) sigma_u is integral and
-    S_u = sum (d_c c) (d_g sigma_{s_i}) S_{u'}.
+    S_u = sum (d_c c) (d_g sigma_{s_i}) S_{u'}: row r of S_u sums the rows
+    of S_{u'} against row r of d_g sigma_{s_i}, and column q sums the
+    columns of d_g sigma_{s_i} against column q of S_{u'}.  S_u is divided
+    by its scale only when that scale is not 1.
     """
     dim = gens[0].cols
     elements = [u for u in ring.group.elements if top is None or u.length <= top]
     terms = [ring.expressions[u.idx] for u in elements]
     d_coeff = _common_denominator(c for expr in terms for _, _, c in expr)
     d_gen = _common_denominator(v for a in gens for row in a.data for v in row.values())
-    int_gens = [_scaled(a.data, d_gen) for a in gens]
+    int_gens = [_scaled((a.transpose() if columns else a).data, d_gen) for a in gens]
     scaled = [[{j: 1} for j in range(dim)]]
     yield scaled[0]
     for u, expr in zip(elements[1:], terms[1:]):
         acc: list[dict[int, int]] = [{} for _ in range(dim)]
         for i, up_idx, coeff in expr:
             c = coeff.numerator * (d_coeff // coeff.denominator)
-            right = scaled[up_idx]
-            for row, target in zip(int_gens[i - 1], acc):
-                for k, a in row.items():
+            # vector x of c G S: sum over k of c left[x][k] right[k]
+            left, right = int_gens[i - 1], scaled[up_idx]
+            if columns:
+                left, right = right, left
+            for vector, target in zip(left, acc):
+                for k, a in vector.items():
                     ca = c * a
                     for j, b in right[k].items():
                         target[j] = target.get(j, 0) + ca * b
-        acc = [{j: v for j, v in row.items() if v} for row in acc]
+        # drop the entries that cancelled
+        acc = [{j: v for j, v in row.items() if v} if 0 in row.values() else row for row in acc]
         scaled.append(acc)
         denominator = (d_coeff * d_gen) ** u.length
-        yield [{j: divide(v, denominator) for j, v in row.items()} for row in acc]
+        if denominator == 1:
+            yield acc
+        else:
+            yield [{j: divide(v, denominator) for j, v in row.items()} for row in acc]
 
 
-def derived_actions(ring: CohRing, gens: Sequence[QMatrix], top: int | None = None) -> list[QMatrix]:
-    """The action matrix of sigma_v for every v in element order, up to
-    length `top` (all of W by default); see `_action_rows`."""
+def derived_actions(ring: CohRing, gens: Sequence[QMatrix]) -> list[QMatrix]:
+    """The action matrix of sigma_v for every v in element order; see
+    `_action_rows`."""
     dim = gens[0].cols
-    return [QMatrix.from_rows(rows, dim) for rows in _action_rows(ring, gens, top)]
+    return [QMatrix.from_rows(rows, dim) for rows in _action_rows(ring, gens, None)]
 
 
 def class_matrix(actions: Sequence[QMatrix], c: Row, dim: int) -> QMatrix:
@@ -121,11 +136,6 @@ def class_matrix(actions: Sequence[QMatrix], c: Row, dim: int) -> QMatrix:
     for w, coeff in c.items():
         out = out + actions[w].scale(coeff)
     return out
-
-
-#: the 2x2 matrix units E_ab, which place a block at rows 2m + a, columns 2k + b
-_UNIT = [[QMatrix([[1, 0], [0, 0]]), QMatrix([[0, 1], [0, 0]])],
-         [QMatrix([[0, 0], [1, 0]]), QMatrix([[0, 0], [0, 1]])]]
 
 
 def trivial_module(ring: CohRing) -> GradedModule:
@@ -142,20 +152,25 @@ def extend(ring: CohRing, i: int, module: GradedModule) -> GradedModule:
     for d in module.degrees:
         degrees.extend((d - 1, d + 1))
 
-    # the split parts below have degree <= 2, so classes up to length 2 suffice
-    low = derived_actions(ring, module.gens, top=2)
+    # the split parts below have degree <= 2, so classes up to length 2
+    # suffice; shifted[b][v][m] is row m of sigma_v with column k moved to 2k + b
+    low = list(_action_rows(ring, module.gens, 2))
+    shifted = [
+        [[{2 * k + b: x for k, x in row.items()} for row in rows] for rows in low] for b in (0, 1)
+    ]
 
     si = g.simple(i)
     gens: list[QMatrix] = []
     for j in range(1, ring.rootsystem.rank + 1):
         x1, y1 = ring.split(i, {g.simple(j).idx: 1})
         x2, y2 = ring.split(i, ring.chevalley_multiply(j, si))
-        x1m, y1m, x2m, y2m = (class_matrix(low, c, module.dim) for c in (x1, y1, x2, y2))
-        # entry (2m + a, 2k + b) of the action is entry (m, k) of block (a, b)
-        gens.append(
-            x1m.kron(_UNIT[0][0]) + x2m.kron(_UNIT[0][1])
-            + y1m.kron(_UNIT[1][0]) + y2m.kron(_UNIT[1][1])
-        )
+        # entry (2m + a, 2k + b) of the action is entry (m, k) of the part for (a, b)
+        rows: list[Row] = [{} for _ in range(dim)]
+        for a, b, part in ((0, 0, x1), (0, 1, x2), (1, 0, y1), (1, 1, y2)):
+            for v, coeff in part.items():
+                for m, row in enumerate(shifted[b][v]):
+                    subtract_scaled(rows[2 * m + a], -coeff, row)
+        gens.append(QMatrix.from_rows(rows, dim))
     return GradedModule(dim, degrees, gens)
 
 
@@ -237,14 +252,7 @@ def _action_cols(ring: CohRing, module: GradedModule) -> tuple[tuple[Row, ...], 
     run target-major.
     """
     span = (max(module.degrees) - min(module.degrees)) // 2
-    out = []
-    for rows in _action_rows(ring, module.gens, span):
-        columns: list[Row] = [{} for _ in range(module.dim)]
-        for i, row in enumerate(rows):
-            for j, a in row.items():
-                columns[j][i] = a
-        out.append(tuple(columns))
-    return tuple(out)
+    return tuple(map(tuple, _action_rows(ring, module.gens, span, columns=True)))
 
 
 def _act(columns: tuple[tuple[Row, ...], ...], v: int, vector: Row) -> Row:

@@ -2,8 +2,9 @@
 Reference IC-module operations for the tests: the direct forms that
 `oquiver.icmod` computes faster.
 
-- `kron_differential` assembles d block by block as the sum over the terms
-  (k, B) of a pair of the Kronecker products A_k (x) B.
+- `kron` is the Kronecker product of two matrices, and `kron_differential`
+  assembles d block by block as the sum over the terms (k, B) of a pair of
+  the Kronecker products A_k (x) B.
 - `squares_to_zero` forms the whole product d*d.
 - `reference_dual` re-expresses the transpose of each boundary term in the
   Hom^1 basis with one solve per term, A_k^T phi_y = sum c_j phi_w B_j,
@@ -18,6 +19,19 @@ from oquiver.linalg import QMatrix, Row, in_span
 from oquiver.quiver import Quiver
 
 
+def kron(a: QMatrix, b: QMatrix) -> QMatrix:
+    """Kronecker product; block (i, k) of the result is a[i, k] * b."""
+    w = b.cols
+    return QMatrix.from_rows(
+        (
+            {k * w + u: x * y for k, x in row.items() for u, y in brow.items()}
+            for row in a.data
+            for brow in b.data
+        ),
+        a.cols * w,
+    )
+
+
 def kron_differential(q: Quiver, m: ICModule) -> QMatrix:
     offsets, _, total = icmod._total_layout(q, m)
     rows: list[Row] = [{} for _ in range(total)]
@@ -26,7 +40,7 @@ def kron_differential(q: Quiver, m: ICModule) -> QMatrix:
             continue
         block = None
         for k, stalk_map in terms:
-            piece = q.hom1[(y, w)][k].kron(stalk_map)
+            piece = kron(q.hom1[(y, w)][k], stalk_map)
             block = piece if block is None else block + piece
         for r, c, value in block.nonzero_items():
             rows[offsets[w] + r][offsets[y] + c] = value

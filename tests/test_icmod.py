@@ -205,6 +205,23 @@ def test_shape_errors(a2q):
         )
 
 
+@pytest.mark.parametrize("operation", [validate, total_cohomology, verdier_dual, rep_satisfies_relations])
+def test_zero_term_shapes_are_checked(a2q, operation):
+    # the zero matrix is normalized out of the boundary, but the pair it
+    # sits on is still not incident, and the wrong shape still wrong
+    g = a2q.group
+    w0, e, s1 = g.longest.idx, g.identity.idx, g.simple(1).idx
+    nonincident = ICModule({e: 1, w0: 1}, {(e, w0): [(0, QMatrix([[0]]))]})
+    assert nonincident.boundary == {}
+    with pytest.raises(ShapeError, match=r"non-incident pair \(0, 5\)"):
+        operation(a2q, nonincident)
+    with pytest.raises(ShapeError, match="expected 1x2"):
+        operation(a2q, ICModule({e: 2, s1: 1}, {(e, s1): [(0, QMatrix([[0]]))]}))
+    fine = ICModule({e: 1, s1: 1}, {(e, s1): [(0, QMatrix([[0]]))]})
+    assert fine == ICModule({e: 1, s1: 1}, {})
+    operation(a2q, fine)
+
+
 def test_document_round_trip(a2q):
     rng = random.Random(9)
     for m in sample_reps(a2q, 9, 12):

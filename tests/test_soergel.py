@@ -2,12 +2,14 @@ from fractions import Fraction
 
 import pytest
 
+from icmod_reference import kron
 from oquiver.checks import word_module_family
 from oquiver.kl import ih_graded_dims
 from oquiver.linalg import QMatrix, rank
 from oquiver.rootsystem import build, generate_weyl
 from oquiver.schubert import build_ring
 from oquiver.soergel import (
+    _action_cols,
     build_all,
     class_matrix,
     derived_actions,
@@ -25,6 +27,58 @@ F = Fraction
 def all_actions(ring, m):
     """The action matrix of every class on m, in element order."""
     return derived_actions(ring, m.gens)
+
+
+#: the 2x2 matrix units E_ab, which place a block at rows 2m + a, columns 2k + b
+UNIT = [[QMatrix([[1, 0], [0, 0]]), QMatrix([[0, 1], [0, 0]])],
+        [QMatrix([[0, 0], [1, 0]]), QMatrix([[0, 0], [0, 1]])]]
+
+
+def reference_extend_gens(ring, i, module):
+    """The generators of extend(i, module) as sums of Kronecker products
+    x1 (x) E_00 + x2 (x) E_01 + y1 (x) E_10 + y2 (x) E_11 of class matrices,
+    where sigma_{s_j} . 1 = x1 + sigma_i y1 and sigma_{s_j} . sigma_i =
+    x2 + sigma_i y2."""
+    g = ring.group
+    actions = derived_actions(ring, module.gens)
+    gens = []
+    for j in range(1, ring.rootsystem.rank + 1):
+        x1, y1 = ring.split(i, {g.simple(j).idx: 1})
+        x2, y2 = ring.split(i, ring.chevalley_multiply(j, g.simple(i)))
+        x1m, y1m, x2m, y2m = (class_matrix(actions, c, module.dim) for c in (x1, y1, x2, y2))
+        gens.append(
+            kron(x1m, UNIT[0][0]) + kron(x2m, UNIT[0][1]) + kron(y1m, UNIT[1][0]) + kron(y2m, UNIT[1][1])
+        )
+    return gens
+
+
+def assert_extend_matches_reference(ring, i, module):
+    # entries in stored order too: the cache writes a cover kept as V_w in it
+    cover = extend(ring, i, module)
+    assert [list(row.items()) for a in cover.gens for row in a.data] == [
+        list(row.items()) for a in reference_extend_gens(ring, i, module) for row in a.data
+    ]
+    assert cover.degrees == tuple(d + e for d in module.degrees for e in (-1, 1))
+
+
+def assert_action_cols_are_transposed_actions(ring, module):
+    columns = _action_cols(ring, module)
+    for v, action in enumerate(derived_actions(ring, module.gens)):
+        if v < len(columns):
+            assert columns[v] == action.transpose().data
+        else:  # longer than the degree span: the memo omits it
+            assert action.is_zero()
+
+
+def family_of(name):
+    g = generate_weyl(build(name))
+    ring = build_ring(g)
+    return g, ring, build_all(ring)
+
+
+@pytest.fixture(scope="module", params=["A2", "B2", "G2", "A3"])
+def named_family(request):
+    return family_of(request.param)
 
 
 @pytest.fixture(scope="module")
@@ -296,3 +350,39 @@ def test_multiplicities_match_hecke_prediction(name):
                 if m:
                     predicted[y.idx] = m
         assert fam.multiplicities[w.idx] == predicted, str(w)
+
+
+def test_extend_matches_kron_construction_on_every_cover(named_family):
+    g, ring, fam = named_family
+    for w in g.elements[1:]:
+        i = w.word[-1]
+        assert_extend_matches_reference(ring, i, fam[g.right_mult(w, i)])
+
+
+@pytest.mark.parametrize("name", ["B2", "G2"])
+def test_extend_matches_kron_construction_on_word_modules(name):
+    # B2 and G2 split classes have fractional coefficients
+    g = generate_weyl(build(name))
+    ring = build_ring(g)
+    for word in (g.longest.word, g.longest.word[::-1], (1, 1, 2)):
+        module = trivial_module(ring)
+        for i in word:
+            assert_extend_matches_reference(ring, i, module)
+            module = extend(ring, i, module)
+
+
+def test_action_cols_are_transposed_derived_actions(named_family):
+    g, ring, fam = named_family
+    for w in g:
+        assert_action_cols_are_transposed_actions(ring, fam[w])
+
+
+def test_action_cols_divide_when_generators_have_denominators():
+    g, ring, fam = family_of("B3")
+    fractional = [
+        w for w in g
+        if any(type(v) is Fraction for a in fam[w].gens for row in a.data for v in row.values())
+    ]
+    assert len(fractional) == 3
+    for w in fractional:
+        assert_action_cols_are_transposed_actions(ring, fam[w])
