@@ -292,7 +292,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.fn(args)
     except DOMAIN_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # one line, even when a message quotes document text with a newline
+        print(f"error: {exc}".replace("\n", "\\n"), file=sys.stderr)
         return 1
 
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Iterator, Sequence
 
 Row = dict[int, int | Fraction]
@@ -301,10 +302,37 @@ class RowSpan:
 
 
 def rank(m: QMatrix) -> int:
-    span = RowSpan(m.cols)
+    """The rank of m by fraction-free elimination (cf. Bareiss, Math. Comp. 22, 1968).
+
+    Only the count of pivots is wanted, not a canonical basis, so no
+    reduced form is kept and no Fraction is formed: each row is scaled to
+    integers by the lcm of its denominators, reduced against the stored
+    pivot rows as a * vec - b * pivot, and divided by the gcd of its
+    entries to keep them small."""
+    pivots: dict[int, Row] = {}
+    full = min(m.rows, m.cols)
     for row in m.data:
-        span.add(row)
-    return span.rank
+        if not row:
+            continue
+        if len(pivots) == full:
+            break
+        scale = lcm(*(v.denominator for v in row.values()))
+        vec = {j: v.numerator * (scale // v.denominator) for j, v in row.items()}
+        while vec:
+            p = min(vec)
+            pivot = pivots.get(p)
+            if pivot is None:
+                pivots[p] = vec
+                break
+            g = gcd(pivot[p], vec[p])
+            a, b = pivot[p] // g, vec[p] // g
+            if a != 1:
+                vec = {j: a * v for j, v in vec.items()}
+            subtract_scaled(vec, b, pivot)
+            content = gcd(*vec.values())
+            if content > 1:
+                vec = {j: v // content for j, v in vec.items()}
+    return len(pivots)
 
 
 def nullspace_of_rows(rows: Iterable[Row], ncols: int) -> list[Row]:

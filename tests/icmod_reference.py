@@ -6,6 +6,8 @@ Reference IC-module operations for the tests: the direct forms that
   assembles d block by block as the sum over the terms (k, B) of a pair of
   the Kronecker products A_k (x) B.
 - `squares_to_zero` forms the whole product d*d.
+- `reference_cohomology` ranks each degree piece of that d by its RREF
+  (`RowSpan`), with Fractions.
 - `reference_dual` re-expresses the transpose of each boundary term in the
   Hom^1 basis with one solve per term, A_k^T phi_y = sum c_j phi_w B_j,
   against the self-duality pairings phi.
@@ -15,7 +17,7 @@ from __future__ import annotations
 
 from oquiver import icmod
 from oquiver.icmod import ICModule
-from oquiver.linalg import QMatrix, Row, in_span
+from oquiver.linalg import QMatrix, Row, RowSpan, in_span
 from oquiver.quiver import Quiver
 
 
@@ -49,6 +51,26 @@ def kron_differential(q: Quiver, m: ICModule) -> QMatrix:
 
 def squares_to_zero(d: QMatrix) -> bool:
     return (d * d).is_zero()
+
+
+def reference_cohomology(q: Quiver, m: ICModule) -> dict[int, int]:
+    """dim H^n = dim C^n - rank(d from n) - rank(d into n), over kron_differential."""
+    d = kron_differential(q, m)
+    _, degrees, _ = icmod._total_layout(q, m)
+
+    def rank_from(n: int) -> int:
+        span = RowSpan(d.cols)
+        for r, row in enumerate(d.data):
+            if degrees[r] == n + 1:
+                span.add(row)
+        return span.rank
+
+    out = {}
+    for n in sorted(set(degrees)):
+        h = degrees.count(n) - rank_from(n) - rank_from(n - 1)
+        if h:
+            out[n] = h
+    return out
 
 
 def reference_dual(q: Quiver, m: ICModule) -> ICModule:

@@ -9,7 +9,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oquiver import cache, rootsystem
@@ -712,6 +712,9 @@ documents = st.fixed_dictionaries(
 @settings(max_examples=150, deadline=None)
 @given(st.binary(max_size=64) | documents.map(lambda doc: json.dumps(doc).encode()),
        st.sampled_from(["validate", "cohomology", "dual"]))
+# document text with a newline, quoted in a message, must not split the error line
+@example(b'{"system": {"type": "A", "rank": 1}, "stalks": {"\\n": null}}', "validate")
+@example(b'{"system": {"type": "A", "rank": "1\\n"}, "stalks": {}}', "dual")
 def test_any_json_icmodule_document_exits_0_or_1(blob, command):
     with tempfile.TemporaryDirectory() as tmp:
         file = Path(tmp) / "doc.json"

@@ -20,7 +20,6 @@ from oquiver.icmod import (
     euler_characteristic,
     icmodule_from_doc,
     icmodule_to_doc,
-    rep_satisfies_relations,
     total_cohomology,
     validate,
     verdier_dual,
@@ -86,7 +85,6 @@ def test_p1_invalid_both_maps(a1q):
 
 def test_semisimple_rep_is_valid(a2q):
     m = ICModule({w.idx: 1 for w in a2q.group.elements}, {})
-    assert rep_satisfies_relations(a2q, m)
     assert validate(a2q, m)
 
 
@@ -96,7 +94,6 @@ def test_one_way_rep_at_covering_pair_is_valid(a2q):
     g = a2q.group
     y, w = g.simple(1), g.parse("1.2")
     m = ICModule({y.idx: 1, w.idx: 1}, {(w.idx, y.idx): [(0, QMatrix([[1]]))]})
-    assert rep_satisfies_relations(a2q, m)
     assert validate(a2q, m)
     dims = total_cohomology(a2q, m)
     assert euler_characteristic(dims) == sum(
@@ -116,10 +113,24 @@ def test_singleton_relator_violation(a2q):
             (mid.idx, w0.idx): [(0, QMatrix([[1]]))],
         },
     )
-    assert not rep_satisfies_relations(a2q, m)
     assert not validate(a2q, m)
     d, _ = icmod.assemble_differential(a2q, m)
     assert not (d * d).is_zero()
+
+
+def test_repeated_terms_are_summed(a2q):
+    # two terms on one arrow act as their sum: here they cancel, which
+    # leaves a single map and no path through both arrows of the loop
+    g = a2q.group
+    w0, mid = g.longest.idx, g.parse("1.2").idx
+    one, minus = QMatrix([[1]]), QMatrix([[-1]])
+    cancelled = ICModule({w0: 1, mid: 1}, {(w0, mid): [(0, one)], (mid, w0): [(0, one), (0, minus)]})
+    assert validate(a2q, cancelled)
+    assert total_cohomology(a2q, cancelled) == total_cohomology(
+        a2q, ICModule({w0: 1, mid: 1}, {(w0, mid): [(0, one)]})
+    )
+    doubled = ICModule({w0: 1, mid: 1}, {(w0, mid): [(0, one)], (mid, w0): [(0, one), (0, one)]})
+    assert not validate(a2q, doubled)
 
 
 def test_prop36_equivalence_200_samples(a2q):
@@ -200,12 +211,12 @@ def test_shape_errors(a2q):
         )
     with pytest.raises(ShapeError):
         # arrow index out of range
-        rep_satisfies_relations(
+        validate(
             a2q, ICModule({e.idx: 1, g.simple(1).idx: 1}, {(e.idx, g.simple(1).idx): [(5, QMatrix([[1]]))]})
         )
 
 
-@pytest.mark.parametrize("operation", [validate, total_cohomology, verdier_dual, rep_satisfies_relations])
+@pytest.mark.parametrize("operation", [validate, total_cohomology, verdier_dual])
 def test_zero_term_shapes_are_checked(a2q, operation):
     # the zero matrix is normalized out of the boundary, but the pair it
     # sits on is still not incident, and the wrong shape still wrong
@@ -240,14 +251,15 @@ def test_boundary_absent_between_nonincident(a2q):
             assert (y, w) in a2q.hom1
 
 
-@pytest.fixture(scope="module", params=["A1", "A2", "B2", "A3"])
+@pytest.fixture(scope="module", params=["A1", "A2", "B2", "G2", "A3"])
 def any_quiver(request):
     return build_quiver(build_all(build_ring(generate_weyl(build(request.param)))))
 
 
 def test_fast_paths_agree_with_references(any_quiver):
-    # assembly without Kronecker blocks, the row-by-row d^2 test and the
-    # memoized duality transport against their direct forms
+    # assembly without Kronecker blocks, the relator test of d^2 = 0, the
+    # fraction-free ranks and the memoized duality transport against their
+    # direct forms; G2 has fractional arrows
     q = any_quiver
     verdicts = set()
     samples = sample_reps(q, 21, 24)
@@ -255,13 +267,50 @@ def test_fast_paths_agree_with_references(any_quiver):
     # make the terms of a pair meet on the same entries
     repeated = [ICModule(m.stalks, {p: terms * 2 for p, terms in m.boundary.items()}) for m in samples]
     for m in samples + repeated:
-        d, degrees = icmod.assemble_differential(q, m)
+        d, _ = icmod.assemble_differential(q, m)
         assert d == icmod_reference.kron_differential(q, m)
-        valid = icmod._squares_to_zero(d, degrees)
+        valid = validate(q, m)
         assert valid == icmod_reference.squares_to_zero(d)
+        if valid:
+            assert total_cohomology(q, m) == icmod_reference.reference_cohomology(q, m)
         verdicts.add(valid)
         assert verdier_dual(q, m) == icmod_reference.reference_dual(q, m)
     assert verdicts == {True, False}
+
+
+def _count_assemblies(monkeypatch):
+    calls = []
+    assemble = icmod.assemble_differential
+
+    def counting(q, m):
+        calls.append(m)
+        return assemble(q, m)
+
+    monkeypatch.setattr(icmod, "assemble_differential", counting)
+    return calls
+
+
+def test_validate_never_assembles(a2q, monkeypatch):
+    calls = _count_assemblies(monkeypatch)
+    verdicts = [validate(a2q, m) for m in sample_reps(a2q, 21, 24)]
+    assert set(verdicts) == {True, False}
+    assert calls == []
+
+
+def test_cohomology_assembles_once_and_only_when_valid(a2q, monkeypatch):
+    calls = _count_assemblies(monkeypatch)
+    samples = sample_reps(a2q, 21, 24)
+    valid = [m for m in samples if validate(a2q, m)]
+    invalid = [m for m in samples if not validate(a2q, m)]
+    assert valid and invalid
+    for m in valid:
+        total_cohomology(a2q, m)
+        assert calls == [m]
+        calls.clear()
+    for m in invalid:
+        with pytest.raises(InvalidModule, match="total cohomology requires d\\^2 = 0"):
+            total_cohomology(a2q, m)
+    assert calls == []
 
 
 def test_second_dual_solves_nothing(any_quiver, monkeypatch):

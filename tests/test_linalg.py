@@ -180,6 +180,32 @@ def test_solve_exact_when_defined(rows, xs):
     assert m.matvec(got) == b
 
 
+# entries with denominators, zeros (so zero rows) and values near 10^30,
+# whose common factors the rank divides out as it eliminates
+rank_entries = st.one_of(
+    st.just(F(0)),
+    st.fractions(min_value=-3, max_value=3, max_denominator=6),
+    st.integers(-3, 3).map(lambda k: F(10**30 + k, 7)),
+    st.integers(-3, 3).map(lambda k: F(-(10**30) * 6 + k)),
+)
+rank_matrix = st.tuples(st.integers(1, 7), st.integers(1, 7)).flatmap(
+    lambda shape: st.lists(
+        st.lists(rank_entries, min_size=shape[1], max_size=shape[1]),
+        min_size=shape[0], max_size=shape[0],
+    )
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rank_matrix)
+def test_rank_matches_canonical_basis(rows):
+    m = QMatrix(rows)
+    assert rank(m) == len(canonical_basis(m.data, m.cols))
+    # a dependent row (a rational combination of the others) adds nothing
+    combined = [sum((F(k + 1, 3) * r[j] for k, r in enumerate(rows)), F(0)) for j in range(m.cols)]
+    assert rank(QMatrix(rows + [combined])) == rank(m)
+
+
 def _dense_product(a, b):
     return [[sum((x * b[k][j] for k, x in enumerate(row)), F(0)) for j in range(len(b[0]))] for row in a]
 
