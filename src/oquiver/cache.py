@@ -197,7 +197,7 @@ def payload_of(q: Quiver) -> dict:
         "modules": modules,
         "hom1": [[y, w, [_sparse_doc(m) for m in basis]] for (y, w), basis in q.hom1.items()],
         "relators": [
-            [y, w, [_row_doc(row) for row in rows]] for (y, w), rows in q.relator_rows().items()
+            [y, w, [_row_doc(row) for row in rows]] for (y, w), rows in q.relators().items()
         ],
     }
 
@@ -260,12 +260,11 @@ def restore(group: WeylGroup, payload: dict) -> Quiver:
     g = group
     if payload["elements"] != [str(w) for w in g.elements]:
         raise ValueError("cached element order does not match this build")
-    lookup = {str(w): w for w in g.elements}
     family = ModuleFamily(CohRing(group))
     for w in g.elements:
         doc = payload["modules"][str(w)]
         family.modules[w.idx] = _module_from_doc(w, doc, g.rootsystem.rank)
-        family.multiplicities[w.idx] = _multiplicities_from_doc(w, doc, lookup)
+        family.multiplicities[w.idx] = _multiplicities_from_doc(w, doc, g.by_name)
     hom1 = _hom1_from_doc(payload["hom1"], family)
     relators = {
         pair: [_row_from_doc(row) for row in rows]

@@ -47,20 +47,18 @@ def semisimple_rep(q: Quiver, rng: random.Random) -> icmod.ICModule:
 
 def one_way_rep(q: Quiver, rng: random.Random) -> icmod.ICModule:
     """One nonzero map on a single arrow: valid since no length-2 path survives."""
-    arrow = rng.choice(q.arrows)
-    y, w = arrow.source.idx, arrow.target.idx
-    maps = [(arrow.index, QMatrix([[rng.choice([1, 2, -1])]]))]
+    y, w, k = rng.choice(q.arrows)
+    maps = [(k, QMatrix([[rng.choice([1, 2, -1])]]))]
     return icmod.ICModule({y: 1, w: 1}, {(y, w): maps})
 
 
 def generic_rep(q: Quiver, rng: random.Random, max_dim: int = 2) -> icmod.ICModule:
     dims = {w.idx: rng.randint(0, max_dim) for w in q.group.elements}
     boundary: dict[tuple[int, int], list[tuple[int, QMatrix]]] = {}
-    for arrow in q.arrows:
-        y, w = arrow.source.idx, arrow.target.idx
+    for y, w, k in q.arrows:
         if dims[y] and dims[w] and rng.random() < 0.8:
             mat = QMatrix([[rng.randint(-2, 2) for _ in range(dims[y])] for _ in range(dims[w])])
-            boundary.setdefault((y, w), []).append((arrow.index, mat))
+            boundary.setdefault((y, w), []).append((k, mat))
     return icmod.ICModule(dims, boundary)
 
 
@@ -219,8 +217,8 @@ def check_relators_complete(q: Quiver) -> None:
 
 def check_relator_homogeneity(q: Quiver) -> None:
     g = q.group
-    for (y, w), combos in q.relators().items():
-        if combos:
+    for (y, w), rows in q.relators().items():
+        if rows:
             _need(
                 (g.elements[w].length - g.elements[y].length) % 2 == 0,
                 f"relator pair ({y}, {w}) has odd length gap",

@@ -20,14 +20,11 @@ __all__ = ["HomBasis", "hom_basis"]
 
 
 class HomBasis:
-    """The canonical basis of Hom^degree(V_source, V_target)."""
+    """The canonical basis of a graded Hom space."""
 
-    __slots__ = ("source", "target", "degree", "basis")
+    __slots__ = ("basis",)
 
-    def __init__(self, source: WeylElement, target: WeylElement, degree: int, basis: tuple[QMatrix, ...]):
-        self.source = source
-        self.target = target
-        self.degree = degree
+    def __init__(self, basis: tuple[QMatrix, ...]):
         self.basis = basis
 
     @property
@@ -37,5 +34,4 @@ class HomBasis:
 
 def hom_basis(family: ModuleFamily, y: WeylElement, w: WeylElement, degree: int) -> HomBasis:
     """Canonical basis of Hom^degree(V_y, V_w)."""
-    maps = graded_hom_basis(family.ring, family[y], family[w], degree)
-    return HomBasis(y, w, degree, tuple(maps))
+    return HomBasis(tuple(graded_hom_basis(family.ring, family[y], family[w], degree)))

@@ -11,7 +11,8 @@ vertex spaces, and the term (k, matrix) on pair (y, w) is the map on arrow
 k of y -> w.  The block (y, w) of d^2 is the sum over the paths
 y -> z -> w of (A^i_{z,w} A^j_{y,z}) (x) (B^i_{z,w} B^j_{y,z}), so d^2 = 0
 exactly when every relator of the quiver acts by zero on the stalk maps:
-:func:`validate` tests that at stalk size and never assembles d.  Only
+:func:`validate` tests that at stalk size, reading each relator as the
+Row over `q.paths(y, w)` the quiver holds, and never assembles d.  Only
 :func:`assemble_differential` and :func:`total_cohomology`, which ranks
 its degree pieces, build the total complex.
 Verdier duality dualizes stalks and transposes boundary maps against the
@@ -20,9 +21,9 @@ self-duality of each V_w, with no extra signs.
 What depends only on the quiver is solved once per quiver: the relators,
 the pairings V_w -> V_w*, and per pair the dual of each arrow in the
 Hom^1 basis.  So an operation on a document does only per-document work:
-the relators are evaluated on its stalk products, d is written entry by
-entry into the rows of the total complex, and a dual scales and sums
-transposed stalk matrices.
+element names are looked up (`WeylGroup.parse`), the relators are
+evaluated on its stalk products, d is written entry by entry into the rows
+of the total complex, and a dual scales and sums transposed stalk matrices.
 """
 
 from __future__ import annotations
@@ -182,10 +183,11 @@ def validate(q: Quiver, m: ICModule) -> bool:
             for j, a in first.items():
                 for i, b in second.items():
                     products[(y, j, z, i, w)] = (b * a).data
-        for combo in relators[(y, w)]:
+        keys = q.paths(y, w)
+        for relator in relators[(y, w)]:
             acc: list[Row] = [{} for _ in range(m.stalk_dim(w))]
-            for key, c in combo.terms.items():
-                product = products.get(key)
+            for n, c in relator.items():
+                product = products.get(keys[n])
                 if product is not None:
                     for target, row in zip(acc, product):
                         subtract_scaled(target, -c, row)

@@ -16,6 +16,11 @@ Stacking those rows over the path coordinates of one ordered pair and
 taking the RREF row basis gives the canonical relator basis of that pair.
 Relator spaces are only ever compared as subspaces: arrow rescaling moves
 individual coefficients but not spans.
+
+The quiver keeps each datum in one form: an arrow is a (y, w, k) index
+into `hom1`, and a relator is a Row over the indices into `paths(y, w)`,
+which the cache, `icmod.validate` and the renderers all read as they are.
+:class:`PathCombo` is only the form of relator lists from outside.
 """
 
 from __future__ import annotations
@@ -30,6 +35,8 @@ from .soergel import ModuleFamily
 
 # (y, j, z, i, w): first the j-th arrow y -> z, then the i-th arrow z -> w
 PathKey = tuple[int, int, int, int, int]
+# (y, w, k): the k-th arrow y -> w, bound to hom1[(y, w)][k]
+ArrowKey = tuple[int, int, int]
 # (y, w) -> canonical basis of Hom^1(V_y, V_w), for the pairs where it is nonzero
 Hom1 = dict[tuple[int, int], tuple[QMatrix, ...]]
 
@@ -38,20 +45,10 @@ class MalformedPath(ValueError):
     """A path reference names a missing vertex or arrow, or endpoints clash."""
 
 
-class Arrow:
-    """The `index`-th arrow from `source` to `target`, bound to its Hom^1 basis matrix."""
-
-    __slots__ = ("source", "target", "index", "matrix")
-
-    def __init__(self, source: WeylElement, target: WeylElement, index: int, matrix: QMatrix):
-        self.source = source
-        self.target = target
-        self.index = index
-        self.matrix = matrix
-
-
 class PathCombo:
-    """A rational combination of length-2 paths sharing one (source, target)."""
+    """A rational combination of length-2 paths sharing one (source, target),
+    the form of relator lists written outside the quiver (a parsed export,
+    the classical A2 list)."""
 
     __slots__ = ("source", "target", "terms")
 
@@ -76,10 +73,12 @@ class Quiver:
     """Arrows plus the canonical relator basis of every ordered pair.
 
     `hom1` maps each ordered pair (y, w) with dim Hom^1(V_y, V_w) > 0 to its
-    canonical basis, pairs in y-major order.  `relators` maps each pair with
-    length-2 paths to its relator basis, one Row per relator over the
-    indices into `paths(y, w)`; a Row's order is its relator's term order.
-    :func:`build_quiver` solves both, `cache.restore` decodes them.
+    canonical basis, pairs in y-major order; `arrows` lists its (y, w, k)
+    triples in that order.  `relators` maps each pair with length-2 paths
+    to its relator basis, one Row per relator over the indices into
+    `paths(y, w)`; a Row's order is its relator's term order.  The Rows are
+    kept as given.  :func:`build_quiver` solves both, `cache.restore`
+    decodes them.
     """
 
     def __init__(
@@ -91,24 +90,17 @@ class Quiver:
         self.family = family
         self.group = family.group
         self.hom1 = hom1
-        elements = self.group.elements
-        self.arrows = [
-            Arrow(elements[y], elements[w], k, m)
-            for (y, w), basis in hom1.items()
-            for k, m in enumerate(basis)
+        self.arrows: list[ArrowKey] = [
+            (y, w, k) for (y, w), basis in hom1.items() for k in range(len(basis))
         ]
         self._paths = _length2_paths(hom1)
         if relators.keys() != self._paths.keys():
             raise MalformedPath("relators are not given for exactly the pairs joined by length-2 paths")
-        self._relators: dict[tuple[int, int], list[PathCombo]] = {}
         for (y, w), rows in relators.items():
-            keys = self.paths(y, w)
-            combos = []
-            for row in rows:
-                if any(not 0 <= n < len(keys) for n in row):
-                    raise MalformedPath(f"a relator from {y} to {w} names a path it does not have")
-                combos.append(PathCombo(y, w, {keys[n]: c for n, c in row.items()}))
-            self._relators[(y, w)] = combos
+            npaths = len(self._paths[(y, w)])
+            if any(not 0 <= n < npaths for row in rows for n in row):
+                raise MalformedPath(f"a relator from {y} to {w} names a path it does not have")
+        self._relators = relators
 
     # -- structure queries --------------------------------------------------
 
@@ -121,16 +113,9 @@ class Quiver:
 
     # -- relators ------------------------------------------------------------
 
-    def relators(self) -> dict[tuple[int, int], list[PathCombo]]:
+    def relators(self) -> dict[tuple[int, int], list[Row]]:
+        """Per pair, its relators as Rows over the indices into `paths(y, w)`."""
         return self._relators
-
-    def relator_rows(self) -> dict[tuple[int, int], list[Row]]:
-        """The relators in the form the constructor takes."""
-        rows = {}
-        for pair, combos in self._relators.items():
-            key_index = {k: n for n, k in enumerate(self.paths(*pair))}
-            rows[pair] = [_combo_row(key_index, c) for c in combos]
-        return rows
 
     def relator_dim(self) -> int:
         return sum(len(v) for v in self.relators().values())
@@ -168,9 +153,8 @@ class Quiver:
         for pair in pairs:
             keys = self.paths(*pair)
             key_index = {k: n for n, k in enumerate(keys)}
-            mine = [_combo_row(key_index, c) for c in computed.get(pair, [])]
             theirs = [_combo_row(key_index, c) for c in grouped.get(pair, [])]
-            if canonical_basis(mine, len(keys)) != canonical_basis(theirs, len(keys)):
+            if canonical_basis(computed.get(pair, []), len(keys)) != canonical_basis(theirs, len(keys)):
                 return False
         return True
 
@@ -184,39 +168,24 @@ class Quiver:
             if i >= len(self.hom1.get((z, w), ())):
                 raise MalformedPath(f"no arrow #{i} from {z} to {w}")
 
-    def pm_one_report(self) -> dict:
+    def all_pm_one(self) -> bool:
         """Whether the canonical relator basis has all coefficients in {0, +-1}.
 
         Purely observational; nothing downstream depends on the outcome.
         """
-        offending = []
-        for pair, combos in self.relators().items():
-            for combo in combos:
-                for key, c in combo.terms.items():
-                    if c not in (1, -1):
-                        offending.append((pair, key, c))
-        return {
-            "system": self.group.rootsystem.name,
-            "all_pm_one": not offending,
-            "offending": offending,
-        }
+        return all(
+            c in (1, -1) for rows in self.relators().values() for row in rows for c in row.values()
+        )
 
     def relator_span_contains_all_products(self) -> bool:
         """Regression check: every entry of dtilde^2 reduces to 0 mod relators."""
-        rel = self.relators()
-        g = self.group
-        for y in g.elements:
-            for w in g.elements:
-                pair = (y.idx, w.idx)
-                keys = self.paths(*pair)
-                if not keys:
-                    continue
-                key_index = {k: n for n, k in enumerate(keys)}
-                span = RowSpan(len(keys))
-                for combo in rel.get(pair, []):
-                    span.add(_combo_row(key_index, combo))
-                if not all(span.contains(row) for row in _product_rows(self.hom1, keys)):
-                    return False
+        for pair, rows in self.relators().items():
+            keys = self.paths(*pair)
+            span = RowSpan(len(keys))
+            for row in rows:
+                span.add(row)
+            if not all(span.contains(row) for row in _product_rows(self.hom1, keys)):
+                return False
         return True
 
 
@@ -296,9 +265,10 @@ def _token(ids: Sequence[int], *vs: int) -> str:
     return "(" + ".".join(parts) + ")"
 
 
-def arrow_token(ids: Sequence[int], arrow: Arrow) -> str:
-    t = _token(ids, arrow.source.idx, arrow.target.idx)
-    return t if arrow.index == 0 else f"{t[:-1]}#{arrow.index})"
+def arrow_token(ids: Sequence[int], arrow: ArrowKey) -> str:
+    y, w, k = arrow
+    t = _token(ids, y, w)
+    return t if k == 0 else f"{t[:-1]}#{k})"
 
 
 def path_token(ids: Sequence[int], key: PathKey) -> str:
@@ -307,10 +277,11 @@ def path_token(ids: Sequence[int], key: PathKey) -> str:
     return t if i == 0 and j == 0 else f"{t[:-1]}#{j}.{i})"
 
 
-def combo_str(ids: Sequence[int], combo: PathCombo) -> str:
+def relator_str(ids: Sequence[int], keys: Sequence[PathKey], row: Row) -> str:
+    """One relator Row over the paths `keys` of its pair, in its term order."""
     parts: list[str] = []
-    for key, c in combo.terms.items():
-        token = path_token(ids, key)
+    for n, c in row.items():
+        token = path_token(ids, keys[n])
         if not parts:
             if c == 1:
                 parts.append(token)
@@ -335,27 +306,18 @@ def to_json_doc(q: Quiver, appendix_numbering: bool = False) -> dict:
         "vertices": [
             {"id": ids[w.idx], "word": str(w), "length": w.length} for w in g.elements
         ],
-        "arrows": [
-            {"from": ids[a.source.idx], "to": ids[a.target.idx], "index": a.index}
-            for a in q.arrows
-        ],
+        "arrows": [{"from": ids[y], "to": ids[w], "index": k} for y, w, k in q.arrows],
         "relations": [],
     }
-    for (y_idx, w_idx), combos in q.relators().items():
-        for combo in combos:
-            doc["relations"].append(
-                {
-                    "source": ids[y_idx],
-                    "target": ids[w_idx],
-                    "terms": [
-                        {
-                            "path": [ids[y], j, ids[z], i, ids[w]],
-                            "coeff": format_rational(c),
-                        }
-                        for (y, j, z, i, w), c in combo.terms.items()
-                    ],
-                }
-            )
+    for (y_idx, w_idx), rows in q.relators().items():
+        keys = q.paths(y_idx, w_idx)
+        source, target = ids[y_idx], ids[w_idx]
+        for row in rows:
+            terms = []
+            for n, c in row.items():
+                _, j, z, i, _ = keys[n]
+                terms.append({"path": [source, j, ids[z], i, target], "coeff": format_rational(c)})
+            doc["relations"].append({"source": source, "target": target, "terms": terms})
     return doc
 
 
@@ -381,13 +343,14 @@ def to_dot(q: Quiver, appendix_numbering: bool = False) -> str:
     lines = [f'digraph "{g.rootsystem.name}" {{']
     for w in g.elements:
         lines.append(f'  v{ids[w.idx]} [label="{ids[w.idx]}: {w}"];')
-    for a in q.arrows:
-        label = f' [label="{a.index}"]' if a.index else ""
-        lines.append(f"  v{ids[a.source.idx]} -> v{ids[a.target.idx]}{label};")
+    for y, w, k in q.arrows:
+        label = f' [label="{k}"]' if k else ""
+        lines.append(f"  v{ids[y]} -> v{ids[w]}{label};")
     lines.append("  // relations")
-    for combos in q.relators().values():
-        for combo in combos:
-            lines.append(f"  // {combo_str(ids, combo)}")
+    for pair, rows in q.relators().items():
+        keys = q.paths(*pair)
+        for row in rows:
+            lines.append(f"  // {relator_str(ids, keys, row)}")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -405,9 +368,10 @@ def to_text(q: Quiver, appendix_numbering: bool = False) -> str:
     lines.append("arrows:")
     lines.append("  " + " ".join(arrow_token(ids, a) for a in q.arrows))
     lines.append(f"relators ({nrel}):")
-    for combos in q.relators().values():
-        for combo in combos:
-            lines.append(f"  {combo_str(ids, combo)}")
-    verdict = "yes" if q.pm_one_report()["all_pm_one"] else "no"
+    for pair, rows in q.relators().items():
+        keys = q.paths(*pair)
+        for row in rows:
+            lines.append(f"  {relator_str(ids, keys, row)}")
+    verdict = "yes" if q.all_pm_one() else "no"
     lines.append(f"all relator coefficients in {{0, +1, -1}}: {verdict}")
     return "\n".join(lines) + "\n"

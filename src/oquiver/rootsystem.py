@@ -336,6 +336,8 @@ class WeylGroup:
             WeylElement(self, m, layer_of[m], words[m], k) for k, m in enumerate(ordered)
         ]
         self.index: dict[ActionMatrix, int] = {m: k for k, m in enumerate(ordered)}
+        #: canonical element name -> element, the names `str(w)` writes
+        self.by_name: dict[str, WeylElement] = {str(w): w for w in self.elements}
         self.generators: list[WeylElement] = [
             self.elements[self.index[g]] for g in gens
         ]
@@ -406,9 +408,13 @@ class WeylGroup:
         return self.elements[k]
 
     def parse(self, text: str) -> WeylElement:
-        """Accepts "e" or dot-separated generator indices like "1.2.1"."""
+        """Accepts "e" or dot-separated generator indices like "1.2.1"; a
+        canonical name is looked up, any other word is evaluated."""
         t = text.strip()
-        if t in ("e", ""):
+        w = self.by_name.get(t)
+        if w is not None:
+            return w
+        if t == "":
             return self.identity
         try:
             word = [int(p) for p in t.split(".")]

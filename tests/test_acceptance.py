@@ -101,12 +101,12 @@ def test_criterion_4_projective_line():
     g = q.group
     assert len(g) == 2
     assert len(q.arrows) == 2
-    relators = [(pair, combo) for pair, combos in q.relators().items() for combo in combos]
+    relators = [(pair, row) for pair, rows in q.relators().items() for row in rows]
     assert len(relators) == 1
-    (pair, combo) = relators[0]
+    (pair, row) = relators[0]
     s, e = g.longest, g.identity
     assert pair == (s.idx, s.idx)  # loop at the open-cell vertex
-    assert list(combo.terms) == [(s.idx, 0, e.idx, 0, s.idx)]  # through the point
+    assert [q.paths(*pair)[n] for n in row] == [(s.idx, 0, e.idx, 0, s.idx)]  # through the point
     note("PASS 4: A1 quiver is two vertices, two arrows, one relator "
          "(the loop at the open cell through the point)")
 

@@ -385,6 +385,27 @@ def test_cold_json_and_cache_file_bytes_are_pinned(name, tmp_path, capsys):
     assert digests == PINNED_SHA256[name]
 
 
+#: sha256 of cold `quiver --format text` and `--format dot` output; B2 and G2
+#: have fractional relator coefficients and the verdict "no"
+PINNED_TEXT_DOT_SHA256 = {
+    ("A2", "text"): "2610722b45653b0b272abedd5ccaf8624c3ab3bb7a88518c8daf958066acb3ff",
+    ("A2", "dot"): "cdb9296e31471e3955b00f5335df73f9780f2b01f1c381418e7098ff33c5a3d9",
+    ("B2", "text"): "ab326457d7ee267a811bd7f4c5c2a9040973900739e801dc7bf11e6ada9fe50e",
+    ("B2", "dot"): "07f58d73422fafd000dbea6b56438af916a9effd96097ba14bcfdcfaf7c881eb",
+    ("G2", "text"): "fdf321f7221e3db7ece034b4dfb0fcb583460dc7bf996f3318401915218c3b61",
+    ("G2", "dot"): "1d10a407f3c141b6dfae7444888ad1269e3806ff636af97dd5b380cdb03a9a49",
+    ("A3", "text"): "1c133b09d5d6df2c20b840c91a1c4dbb8dc0573645193c6a4b6f2fd40370a0cd",
+    ("A3", "dot"): "03f1b9292baf76b5ef42ce480f66856a09b98e36bd34930c5cc96f1633a9e24d",
+}
+
+
+@pytest.mark.parametrize("name,fmt", sorted(PINNED_TEXT_DOT_SHA256))
+def test_cold_text_and_dot_are_pinned(name, fmt, capsys):
+    code, out, _ = run_cli("quiver", "--type", name, "--format", fmt, "--no-cache", capsys=capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_TEXT_DOT_SHA256[(name, fmt)]
+
+
 def _in_module_1(change):
     def mutate(payload):
         change(payload["modules"]["1"])
@@ -459,17 +480,20 @@ def _drop_last_relator_pair(payload):
         _in_module_1(_set_first_entry("1e5")),
         _in_module_1(_set_multiplicities([])),
         _in_module_1(_set_multiplicities({"e": 0})),
+        _in_module_1(_set_multiplicities({"1.1": 1})),
         _hom1_pair_out_of_range,
         _hom1_map_too_tall,
         _hom1_entry_off_degree,
         _first_relator_term([999, "1"]),
+        _first_relator_term([-1, "1"]),
         _first_relator_term([0, "0"]),
         _first_relator_term([0, 1]),
         _drop_last_relator_pair,
     ],
     ids=["generator-not-square", "degrees-not-shifted", "degree-not-int", "no-degrees",
-         "entry-not-string", "entry-exponent", "multiplicities-list", "multiplicity-zero", "hom1-pair-out-of-range",
-         "hom1-map-too-tall", "hom1-entry-off-degree", "relator-path-out-of-range",
+         "entry-not-string", "entry-exponent", "multiplicities-list", "multiplicity-zero",
+         "multiplicity-name-not-canonical", "hom1-pair-out-of-range",
+         "hom1-map-too-tall", "hom1-entry-off-degree", "relator-path-out-of-range", "relator-path-negative",
          "relator-coefficient-zero", "relator-coefficient-not-string", "relator-pair-missing"],
 )
 def test_checksummed_cache_with_malformed_module_is_recomputed(mutate, tmp_path, capsys):

@@ -10,8 +10,8 @@ from oquiver.quiver import (
     MalformedPath,
     PathCombo,
     build_quiver,
-    combo_str,
     parse_relations,
+    relator_str,
     to_dot,
     to_json_doc,
     to_text,
@@ -37,6 +37,15 @@ def a1_quiver():
 
 
 from golden_a2 import RELATORS_A2, parse_appendix_relators
+
+
+def _relators_as_combos(q):
+    """The computed relators in the form of a relator list from outside."""
+    return [
+        PathCombo(*pair, {q.paths(*pair)[n]: c for n, c in row.items()})
+        for pair, rows in q.relators().items()
+        for row in rows
+    ]
 
 
 def test_a2_sixteen_arrows(a2_quiver):
@@ -77,7 +86,7 @@ def test_a2_pair_23_span(a2_quiver):
                                  (y.idx, 0, w0.idx, 0, w.idx): Fraction(1)}),
     ]
     candidate = want + [
-        c for (p, cs) in a2_quiver.relators().items() if p != (y.idx, w.idx) for c in cs
+        c for c in _relators_as_combos(a2_quiver) if (c.source, c.target) != (y.idx, w.idx)
     ]
     assert a2_quiver.verify_relator_space(candidate)
 
@@ -92,7 +101,8 @@ def test_a1_projective_line(a1_quiver):
     assert dims["pairs"][(e.idx, e.idx)] == (1, 0, 1)
     assert dims["totals"] == (2, 1, 1)
     rel = a1_quiver.relators()
-    assert list(rel[(s.idx, s.idx)][0].terms) == [(s.idx, 0, e.idx, 0, s.idx)]
+    assert rel[(s.idx, s.idx)] == [{0: 1}]
+    assert a1_quiver.paths(s.idx, s.idx) == [(s.idx, 0, e.idx, 0, s.idx)]
     assert rel.get((e.idx, e.idx)) == []
 
 
@@ -109,8 +119,8 @@ def test_quadratic_dims_aggregate_matches_hom2(a2_quiver):
 
 def test_relator_pairs_have_even_gap(a2_quiver):
     g = a2_quiver.group
-    for (y_idx, w_idx), combos in a2_quiver.relators().items():
-        if combos:
+    for (y_idx, w_idx), rows in a2_quiver.relators().items():
+        if rows:
             gap = g.elements[w_idx].length - g.elements[y_idx].length
             assert gap % 2 == 0
 
@@ -123,8 +133,8 @@ def test_arrow_symmetry(a2_quiver):
 
 
 def test_pm_one_reports(a2_quiver, a1_quiver):
-    assert a2_quiver.pm_one_report()["all_pm_one"]
-    assert a1_quiver.pm_one_report()["all_pm_one"]
+    assert a2_quiver.all_pm_one()
+    assert a1_quiver.all_pm_one()
 
 
 def test_dsquared_entries_reduce_to_zero(a2_quiver):
@@ -133,8 +143,7 @@ def test_dsquared_entries_reduce_to_zero(a2_quiver):
 
 def test_verify_rejects_empty_and_accepts_self(a2_quiver):
     assert not a2_quiver.verify_relator_space([])
-    everything = [c for combos in a2_quiver.relators().values() for c in combos]
-    assert a2_quiver.verify_relator_space(everything)
+    assert a2_quiver.verify_relator_space(_relators_as_combos(a2_quiver))
 
 
 def test_verify_malformed_path(a2_quiver):
@@ -188,8 +197,8 @@ def test_combo_rendering(a2_quiver):
     ids = vertex_ids(a2_quiver, appendix_numbering=True)
     g = a2_quiver.group
     w0 = g.longest
-    loops = a2_quiver.relators()[(w0.idx, w0.idx)]
-    rendered = {combo_str(ids, c) for c in loops}
+    keys = a2_quiver.paths(w0.idx, w0.idx)
+    rendered = {relator_str(ids, keys, row) for row in a2_quiver.relators()[(w0.idx, w0.idx)]}
     assert rendered == {"(121)", "(131)"}
 
 
@@ -201,7 +210,7 @@ def test_g2_pipeline_entries_are_int_or_fractions_with_denominators(tmp_path):
     for q in (cold.quiver, warm.quiver):
         hom1 = [v for basis in q.hom1.values() for b in basis for _, _, v in b.nonzero_items()]
         gens = [v for m in q.family.modules.values() for a in m.gens for _, _, v in a.nonzero_items()]
-        relators = [c for combos in q.relators().values() for combo in combos for c in combo.terms.values()]
+        relators = [c for rows in q.relators().values() for row in rows for c in row.values()]
         assert any(type(v) is Fraction for v in hom1)
         for v in hom1 + gens + relators:
             assert type(v) is int or (type(v) is Fraction and v.denominator != 1)

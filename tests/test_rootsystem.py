@@ -120,10 +120,27 @@ def test_parse_element_strings():
     assert g.parse("e") == g.identity
     assert g.parse("1.2.1.2") == g.longest
     assert element_str(g.parse("2.2")) == "e"
-    with pytest.raises(InvalidRootSystem):
+    assert g.parse("") is g.identity
+    with pytest.raises(InvalidRootSystem, match=r"^cannot parse element '1\.x'$"):
         g.parse("1.x")
-    with pytest.raises(InvalidRootSystem):
+    with pytest.raises(InvalidRootSystem, match=r"^generator index 3 out of range$"):
         g.parse("3")
+    # a spelling other than the canonical name is evaluated
+    a2 = generate_weyl(build("A2"))
+    assert "2.1.2" not in a2.by_name
+    assert a2.parse("2.1.2") is a2.longest
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "B2", "G2", "A3"])
+def test_canonical_names_are_looked_up(name, monkeypatch):
+    g = generate_weyl(build(name))
+    assert g.by_name == {str(w): w for w in g.elements}
+    evaluated = []
+    monkeypatch.setattr(g, "evaluate", lambda word: evaluated.append(word))
+    for w in g.elements:
+        assert g.parse(str(w)) is w
+        assert g.parse(f" {w} ") is w
+    assert evaluated == []
 
 
 def test_reflections():
