@@ -6,7 +6,7 @@ from .homspace import HomBasis, hom_basis
 from .icmod import ICModule, total_cohomology, validate, verdier_dual
 from .kl import ih_poincare, kl_polynomial, mu
 from .linalg import QMatrix, in_span
-from .quiver import PathCombo, Quiver, build_quiver
+from .quiver import Quiver, build_quiver
 from .rootsystem import RootSystem, WeylElement, WeylGroup, build, generate_weyl
 from .schubert import CohRing, build_ring
 from .soergel import GradedModule, ModuleFamily, build_all, extend, trivial_module, word_module

@@ -93,12 +93,12 @@ def cmd_cohomology(args) -> int:
     name = group.rootsystem.name
     print(f"H*(G/B) for {name}: dimension {len(group)}")
     if args.table:
-        rows = ring.generator_table()
-        header = [""] + [f"σ[{group.simple(i)}]" for i in range(1, group.rootsystem.rank + 1)]
+        generators = range(1, group.rootsystem.rank + 1)
+        header = [""] + [f"σ[{group.simple(i)}]" for i in generators]
         body = []
-        for w, products in rows:
+        for w in group.elements:
             label = "1" if w.length == 0 else f"σ[{w}]"
-            body.append([label] + [class_str(group, c) for c in products])
+            body.append([label] + [class_str(group, ring.chevalley_multiply(i, w)) for i in generators])
         widths = [max(len(r[c]) for r in [header] + body) for c in range(len(header))]
         for r in [header] + body:
             print("  " + " | ".join(cell.ljust(width) for cell, width in zip(r, widths)).rstrip())
@@ -140,7 +140,7 @@ def cmd_kl(args) -> int:
     group = generate_weyl(build(*parse_type(args.type)))
     y, w = group.parse(args.source), group.parse(args.target)
     p = kl_mod.kl_polynomial(group, y, w)
-    print(f"P[{y}, {w}] = {p}")
+    print(f"P[{y}, {w}] = {kl_mod.pstr(p)}")
     print(f"mu = {kl_mod.mu(group, y, w)}")
     return 0
 

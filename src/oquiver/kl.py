@@ -75,20 +75,6 @@ def pstr(a: Poly) -> str:
     return " + ".join(parts)
 
 
-class KLPolynomial:
-    """P_{y, w}, its coefficients ascending in q."""
-
-    __slots__ = ("y", "w", "coefficients")
-
-    def __init__(self, y: WeylElement, w: WeylElement, coefficients: Poly):
-        self.y = y
-        self.w = w
-        self.coefficients = coefficients
-
-    def __str__(self) -> str:
-        return pstr(self.coefficients)
-
-
 class KLTable:
     """All P_{y, w} for one Weyl group, built bottom-up and memoized."""
 
@@ -178,8 +164,9 @@ def _table(group: WeylGroup) -> KLTable:
     return cached
 
 
-def kl_polynomial(group: WeylGroup, y: WeylElement, w: WeylElement) -> KLPolynomial:
-    return KLPolynomial(y, w, _table(group).polynomial(y, w))
+def kl_polynomial(group: WeylGroup, y: WeylElement, w: WeylElement) -> Poly:
+    """P_{y, w}, its coefficients ascending in q."""
+    return _table(group).polynomial(y, w)
 
 
 def mu(group: WeylGroup, y: WeylElement, w: WeylElement) -> int:

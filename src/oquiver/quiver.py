@@ -20,13 +20,15 @@ individual coefficients but not spans.
 The quiver keeps each datum in one form: an arrow is a (y, w, k) index
 into `hom1`, and a relator is a Row over the indices into `paths(y, w)`,
 which the cache, `icmod.validate` and the renderers all read as they are.
-:class:`PathCombo` is only the form of relator lists from outside.
+A relator list from outside (a parsed export, the classical A2 list) is a
+list of dicts from path keys (y, j, z, i, w) to coefficients, which
+`verify_relator_space` turns into Rows by one index lookup per path.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .linalg import QMatrix, Row, RowSpan, canonical_basis, exact, format_rational, parse_rational
 from .rootsystem import WeylElement
@@ -43,30 +45,6 @@ Hom1 = dict[tuple[int, int], tuple[QMatrix, ...]]
 
 class MalformedPath(ValueError):
     """A path reference names a missing vertex or arrow, or endpoints clash."""
-
-
-class PathCombo:
-    """A rational combination of length-2 paths sharing one (source, target),
-    the form of relator lists written outside the quiver (a parsed export,
-    the classical A2 list)."""
-
-    __slots__ = ("source", "target", "terms")
-
-    def __init__(self, source: int, target: int, terms: dict[PathKey, int | Fraction]):
-        self.source = source
-        self.target = target
-        self.terms = {k: exact(c) for k, c in terms.items() if c}
-        for y, _, _, _, w in self.terms:
-            if y != source or w != target:
-                raise MalformedPath("path endpoints do not match the combination")
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PathCombo):
-            return NotImplemented
-        return (self.source, self.target, self.terms) == (other.source, other.target, other.terms)
-
-    def __repr__(self) -> str:
-        return f"PathCombo({self.source}->{self.target}, {self.terms})"
 
 
 class Quiver:
@@ -138,35 +116,32 @@ class Quiver:
                     totals[2] += npaths - nrel
         return {"pairs": per_pair, "totals": tuple(totals)}
 
-    def verify_relator_space(self, candidate: Sequence[PathCombo]) -> bool:
+    def verify_relator_space(self, candidate: Iterable[dict[PathKey, int | Fraction]]) -> bool:
         """Subspace equality of the candidate with the computed relators.
 
-        Grouped per ordered pair; list order, scaling and basis choice are
-        irrelevant.  Raises MalformedPath on references to missing arrows.
+        Each candidate relator maps length-2 paths (y, j, z, i, w) of one
+        ordered pair to coefficients.  Grouped per pair; list order, scaling
+        and basis choice are irrelevant.  Raises MalformedPath on a path the
+        quiver does not have, and on a relator whose paths span two pairs.
         """
-        grouped: dict[tuple[int, int], list[PathCombo]] = {}
-        for combo in candidate:
-            self._check_paths(combo)
-            grouped.setdefault((combo.source, combo.target), []).append(combo)
+        index = {key: n for keys in self._paths.values() for n, key in enumerate(keys)}
+        grouped: dict[tuple[int, int], list[Row]] = {}
+        for relator in candidate:
+            pairs = {(key[0], key[-1]) for key in relator}
+            if len(pairs) > 1:
+                raise MalformedPath(f"a relator's paths span the pairs {sorted(pairs)}")
+            try:
+                row = {index[key]: exact(c) for key, c in relator.items() if c}
+            except KeyError as exc:
+                raise MalformedPath(f"no path {exc.args[0]} in the quiver") from None
+            if pairs:
+                grouped.setdefault(pairs.pop(), []).append(row)
         computed = self.relators()
-        pairs = set(grouped) | {k for k, v in computed.items() if v}
-        for pair in pairs:
-            keys = self.paths(*pair)
-            key_index = {k: n for n, k in enumerate(keys)}
-            theirs = [_combo_row(key_index, c) for c in grouped.get(pair, [])]
-            if canonical_basis(computed.get(pair, []), len(keys)) != canonical_basis(theirs, len(keys)):
+        for pair in set(grouped) | {k for k, v in computed.items() if v}:
+            ncols = len(self.paths(*pair))
+            if canonical_basis(computed.get(pair, []), ncols) != canonical_basis(grouped.get(pair, []), ncols):
                 return False
         return True
-
-    def _check_paths(self, combo: PathCombo) -> None:
-        n = len(self.group)
-        for (y, j, z, i, w) in combo.terms:
-            if not (0 <= y < n and 0 <= z < n and 0 <= w < n):
-                raise MalformedPath(f"vertex out of range in path {(y, j, z, i, w)}")
-            if j >= len(self.hom1.get((y, z), ())):
-                raise MalformedPath(f"no arrow #{j} from {y} to {z}")
-            if i >= len(self.hom1.get((z, w), ())):
-                raise MalformedPath(f"no arrow #{i} from {z} to {w}")
 
     def all_pm_one(self) -> bool:
         """Whether the canonical relator basis has all coefficients in {0, +-1}.
@@ -187,11 +162,6 @@ class Quiver:
             if not all(span.contains(row) for row in _product_rows(self.hom1, keys)):
                 return False
         return True
-
-
-def _combo_row(key_index: dict[PathKey, int], combo: PathCombo) -> Row:
-    """A path combination as a Row over the path coordinates of its pair."""
-    return {key_index[k]: c for k, c in combo.terms.items()}
 
 
 def _length2_paths(hom1: Hom1) -> dict[tuple[int, int], list[PathKey]]:
@@ -321,20 +291,24 @@ def to_json_doc(q: Quiver, appendix_numbering: bool = False) -> dict:
     return doc
 
 
-def parse_relations(q: Quiver, doc: dict) -> list[PathCombo]:
-    """Rebuild PathCombos from an exported document (ids resolved via vertices)."""
+def parse_relations(q: Quiver, doc: dict) -> list[dict[PathKey, int | Fraction]]:
+    """The relators of an exported document as path-keyed dicts (ids
+    resolved via vertices); raises MalformedPath on a term whose endpoints
+    are not its relation's source and target."""
     by_id: dict[int, int] = {}
     for v in doc["vertices"]:
         by_id[v["id"]] = q.group.parse(v["word"]).idx
-    combos = []
+    relators = []
     for rel in doc["relations"]:
+        source, target = by_id[rel["source"]], by_id[rel["target"]]
         terms: dict[PathKey, int | Fraction] = {}
         for term in rel["terms"]:
             y, j, z, i, w = term["path"]
-            key = (by_id[y], j, by_id[z], i, by_id[w])
-            terms[key] = parse_rational(term["coeff"])
-        combos.append(PathCombo(by_id[rel["source"]], by_id[rel["target"]], terms))
-    return combos
+            if (by_id[y], by_id[w]) != (source, target):
+                raise MalformedPath(f"path {term['path']} does not run from {rel['source']} to {rel['target']}")
+            terms[(source, j, by_id[z], i, target)] = parse_rational(term["coeff"])
+        relators.append(terms)
+    return relators
 
 
 def to_dot(q: Quiver, appendix_numbering: bool = False) -> str:

@@ -21,8 +21,6 @@ import re
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-QQ = Fraction
-
 ActionMatrix = tuple[tuple[int, ...], ...]
 RootVec = tuple[int, ...]
 
@@ -95,16 +93,16 @@ def _cartan_and_symmetrizer(label: str, rank: int) -> tuple[list[list[int]], lis
         a[i][j] = aij
         a[j][i] = aji
 
-    d = [QQ(1)] * n
+    d = [Fraction(1)] * n
     if label in "ABCD":  # a chain, closed off by the last node outside A
         for i in range(n - 1 if label == "A" else n - 2):
             bond(i, i + 1)
     if label == "B":
         bond(n - 2, n - 1, -1, -2)  # alpha_n short
-        d[-1] = QQ(1, 2)
+        d[-1] = Fraction(1, 2)
     elif label == "C":
         bond(n - 2, n - 1, -2, -1)  # alpha_n long
-        d[-1] = QQ(2)
+        d[-1] = Fraction(2)
     elif label == "D":
         bond(n - 3, n - 1)  # fork
     elif label == "E":
@@ -115,10 +113,10 @@ def _cartan_and_symmetrizer(label: str, rank: int) -> tuple[list[list[int]], lis
         bond(0, 1)
         bond(1, 2, -1, -2)  # alpha_3, alpha_4 short
         bond(2, 3)
-        d = [QQ(1), QQ(1), QQ(1, 2), QQ(1, 2)]
+        d = [Fraction(1), Fraction(1), Fraction(1, 2), Fraction(1, 2)]
     elif label == "G":
         bond(0, 1, -3, -1)  # alpha_1 short, alpha_2 long
-        d = [QQ(1), QQ(3)]
+        d = [Fraction(1), Fraction(3)]
     return a, d
 
 
@@ -141,7 +139,7 @@ class RootSystem:
 
     def inner(self, u: Sequence[int], v: Sequence[int]) -> Fraction:
         """Exact inner product of two vectors in simple-root coordinates."""
-        total = QQ(0)
+        total = Fraction(0)
         for i, ui in enumerate(u):
             if not ui:
                 continue
@@ -257,9 +255,6 @@ class WeylElement:
     def __mul__(self, other: "WeylElement") -> "WeylElement":
         return self.group.multiply(self, other)
 
-    def inverse(self) -> "WeylElement":
-        return self.group.inverse(self)
-
     def __str__(self) -> str:
         return element_str(self)
 
@@ -348,13 +343,6 @@ class WeylGroup:
         self._left: list[list[int]] = [
             [self.index[matmul(gens[i], w.action)] for i in range(n)] for w in self.elements
         ]
-        inv = []
-        for w in self.elements:
-            k = 0
-            for i in reversed(w.word):
-                k = self._right[k][i - 1]
-            inv.append(k)
-        self._inverse = inv
 
     # -- basic queries ----------------------------------------------------
 
@@ -394,9 +382,6 @@ class WeylGroup:
         for i in w2.word:
             k = self._right[k][i - 1]
         return self.elements[k]
-
-    def inverse(self, w: WeylElement) -> WeylElement:
-        return self.elements[self._inverse[self._own(w).idx]]
 
     def evaluate(self, word: Iterable[int]) -> WeylElement:
         """Product s_{i1} ... s_{il} of a (not necessarily reduced) word."""

@@ -9,13 +9,14 @@ degree-one class:
           of  c_i(alpha) (alpha_i, alpha_i)/(alpha, alpha) . sigma_{w s_alpha}
 
 where c_i(alpha) is the alpha_i coordinate of alpha; the scalar is exactly
-the pairing of the i-th fundamental coweight with alpha.  Products of two
-arbitrary Schubert classes are forced by generator products: each degree-k
-class is expressed as a rational combination of sigma_{s_i} . sigma_{u'}
-with l(u') = k - 1 (a triangular solve over the degree-k block).  These
-expressions are kept, since they also carry the action of every class on a
-module from the generator actions alone; the full multiplication table is
-filled from them by iterated Chevalley steps, on first use.
+the pairing of the i-th fundamental coweight with alpha.  Every other class
+acts on a module through its generator expression: each degree-k class is
+a rational combination of sigma_{s_i} . sigma_{u'} with l(u') = k - 1 (a
+triangular solve over the degree-k block), and `CohRing.action_rows`
+turns generator matrices into the action of every sigma_v by that
+recursion.  C is a module over itself, so the multiplication table is the
+same function applied to the regular module, whose generator columns are
+Chevalley's rule.
 
 A class is a `linalg.Row` over element indices: sigma_w has the entry 1 at
 w.idx, and coefficients follow `linalg`'s number rule.
@@ -25,9 +26,11 @@ Grading note: degrees here are l(w), i.e. half the cohomological degree.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from typing import Iterable, Iterator, Sequence
 
-from .linalg import Row, RowSpan, exact, format_rational, subtract_scaled
+from .linalg import Row, RowSpan, divide, exact, format_rational, subtract_scaled
 from .rootsystem import WeylElement, WeylGroup
 
 
@@ -55,7 +58,8 @@ def class_str(group: WeylGroup, c: Row) -> str:
 
 class CohRing:
     """H*(G/B): Chevalley's rule, the generator expressions of every class,
-    and (built on first use) the full multiplication table.
+    the action they give on any module, and (built on first use) the full
+    multiplication table as that action on C itself.
 
     Also carries, per simple reflection, the invariant-subalgebra basis
     {sigma_w : w s_i > w} and the change-of-basis data realizing
@@ -101,12 +105,6 @@ class CohRing:
                 out[target.idx] = c  # distinct roots give distinct targets
         return out
 
-    def chevalley_class(self, i: int, c: Row) -> Row:
-        out: Row = {}
-        for w, coeff in c.items():
-            subtract_scaled(out, -coeff, self.chevalley_multiply(i, self.group.elements[w]))
-        return out
-
     # -- generator expressions and the full multiplication table ------------
 
     def _solve_expressions(self) -> list[tuple[tuple[int, int, int | Fraction], ...]]:
@@ -137,19 +135,62 @@ class CohRing:
                 )
         return expressions
 
+    def action_rows(
+        self, gens: Sequence[Sequence[Row]], top: int | None = None, columns: bool = False
+    ) -> Iterator[list[Row]]:
+        """The Rows of sigma_v on a module for every v in element order, up
+        to length `top` (all of W when None), from the rows of the generator
+        matrices alone through the expressions sigma_u = sum c . sigma_{s_i}
+        . sigma_{u'}; with `columns`, `gens` holds the columns of the
+        generator matrices and the columns of sigma_v come out.
+
+        The recursion runs over the integers.  With d_c and d_g clearing the
+        denominators of the expression coefficients and of the generator
+        matrices, S_u = (d_c d_g)^l(u) sigma_u is integral and
+        S_u = sum (d_c c) (d_g sigma_{s_i}) S_{u'}: row r of S_u sums the rows
+        of S_{u'} against row r of d_g sigma_{s_i}, and column q sums the
+        columns of d_g sigma_{s_i} against column q of S_{u'}.  S_u is divided
+        by its scale only when that scale is not 1.
+        """
+        dim = len(gens[0])
+        elements = [u for u in self.group.elements if top is None or u.length <= top]
+        terms = [self.expressions[u.idx] for u in elements]
+        d_coeff = _common_denominator(c for expr in terms for _, _, c in expr)
+        d_gen = _common_denominator(v for a in gens for vector in a for v in vector.values())
+        int_gens = [_scaled(a, d_gen) for a in gens]
+        scaled = [[{j: 1} for j in range(dim)]]
+        yield scaled[0]
+        for u, expr in zip(elements[1:], terms[1:]):
+            acc: list[dict[int, int]] = [{} for _ in range(dim)]
+            for i, up_idx, coeff in expr:
+                c = coeff.numerator * (d_coeff // coeff.denominator)
+                # vector x of c G S: sum over k of c left[x][k] right[k]
+                left, right = int_gens[i - 1], scaled[up_idx]
+                if columns:
+                    left, right = right, left
+                for vector, target in zip(left, acc):
+                    for k, a in vector.items():
+                        ca = c * a
+                        for j, b in right[k].items():
+                            target[j] = target.get(j, 0) + ca * b
+            # drop the entries that cancelled
+            acc = [{j: v for j, v in row.items() if v} if 0 in row.values() else row for row in acc]
+            scaled.append(acc)
+            denominator = (d_coeff * d_gen) ** u.length
+            if denominator == 1:
+                yield acc
+            else:
+                yield [{j: divide(v, denominator) for j, v in row.items()} for row in acc]
+
     def _full_table(self) -> list[list[Row]]:
+        """table[u][v] = sigma_u . sigma_v: the columns of sigma_u acting on
+        C itself, whose generator columns are Chevalley's rule."""
         if self._table is None:
-            n = len(self.group)
-            table = [[{v: 1} for v in range(n)]]  # unit row
-            for u in range(1, n):
-                row = []
-                for v in range(n):
-                    acc: Row = {}
-                    for i, up_idx, coeff in self.expressions[u]:
-                        subtract_scaled(acc, -coeff, self.chevalley_class(i, table[up_idx][v]))
-                    row.append(acc)
-                table.append(row)
-            self._table = table
+            gens = [
+                [self.chevalley_multiply(i, w) for w in self.group.elements]
+                for i in range(1, self.rootsystem.rank + 1)
+            ]
+            self._table = list(self.action_rows(gens, columns=True))
         return self._table
 
     def multiply_basis(self, u: WeylElement, v: WeylElement) -> Row:
@@ -204,14 +245,14 @@ class CohRing:
                 y[inv[src - m].idx] = coeff
         return x, y
 
-    # -- presentation ----------------------------------------------------
 
-    def generator_table(self) -> list[tuple[WeylElement, list[Row]]]:
-        """Rows sigma_w, columns sigma_{s_1} ... sigma_{s_r}."""
-        return [
-            (w, [self.chevalley_multiply(i, w) for i in range(1, self.rootsystem.rank + 1)])
-            for w in self.group.elements
-        ]
+def _common_denominator(values: Iterable[int | Fraction]) -> int:
+    return math.lcm(1, *{v.denominator for v in values})
+
+
+def _scaled(rows: Iterable[Row], d: int) -> list[dict[int, int]]:
+    """d times each Row, as integers; d must clear every denominator."""
+    return [{j: v.numerator * (d // v.denominator) for j, v in row.items()} for row in rows]
 
 
 def build_ring(group: WeylGroup) -> CohRing:

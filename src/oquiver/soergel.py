@@ -10,9 +10,11 @@ with basis {1 (x) b, sigma_{s_i} (x) b} (interleaved per basis vector of M)
 and degrees deg(1 (x) b) = deg b - 1, deg(sigma_i (x) b) = deg b + 1.  A
 module is stored as the action matrices of the rank generators sigma_{s_j}
 alone, since they generate the ring; every other class acts through
-`derived_actions`.  The generator action on the extension is computed by
-splitting sigma_{s_j} . a = x + sigma_i y with x, y invariant under s_i
-(a = 1 or sigma_i, so x and y have degree at most 2), giving
+`CohRing.action_rows`, the one recursion over the ring's generator
+expressions, which also gives the ring its own multiplication table.  The
+generator action on the extension is computed by splitting
+sigma_{s_j} . a = x + sigma_i y with x, y invariant under s_i (a = 1 or
+sigma_i, so x and y have degree at most 2), giving
 sigma_{s_j} . (a (x) m) = 1 (x) (x . m) + sigma_i (x) (y . m).
 
 V_w is extracted from the single-extension cover extend(i, V_{w s_i}): the
@@ -36,13 +38,9 @@ l(w) mod 2, and sigma_v shifts degree by +2 l(v).
 from __future__ import annotations
 
 import functools
-import math
-from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
-from .linalg import (
-    QMatrix, Row, RowSpan, canonical_basis, divide, nullspace_of_rows, subtract_scaled
-)
+from .linalg import QMatrix, Row, RowSpan, canonical_basis, nullspace_of_rows, subtract_scaled
 from .rootsystem import WeylElement, WeylGroup
 from .schubert import CohRing, InternalConsistencyError
 
@@ -67,67 +65,11 @@ class GradedModule:
         return dict(sorted(out.items()))
 
 
-def _common_denominator(values: Iterable[int | Fraction]) -> int:
-    return math.lcm(1, *{v.denominator for v in values})
-
-
-def _scaled(rows: Iterable[Row], d: int) -> list[dict[int, int]]:
-    """d times each Row, as integers; d must clear every denominator."""
-    return [{j: v.numerator * (d // v.denominator) for j, v in row.items()} for row in rows]
-
-
-def _action_rows(
-    ring: CohRing, gens: Sequence[QMatrix], top: int | None, columns: bool = False
-) -> Iterator[list[Row]]:
-    """The Rows of sigma_v for every v in element order, up to length `top`
-    (all of W when None), from the generator matrices alone through the
-    ring's expressions sigma_u = sum c . sigma_{s_i} . sigma_{u'}; with
-    `columns` the columns of sigma_v instead.
-
-    The recursion runs over the integers.  With d_c and d_g clearing the
-    denominators of the expression coefficients and of the generator
-    matrices, S_u = (d_c d_g)^l(u) sigma_u is integral and
-    S_u = sum (d_c c) (d_g sigma_{s_i}) S_{u'}: row r of S_u sums the rows
-    of S_{u'} against row r of d_g sigma_{s_i}, and column q sums the
-    columns of d_g sigma_{s_i} against column q of S_{u'}.  S_u is divided
-    by its scale only when that scale is not 1.
-    """
-    dim = gens[0].cols
-    elements = [u for u in ring.group.elements if top is None or u.length <= top]
-    terms = [ring.expressions[u.idx] for u in elements]
-    d_coeff = _common_denominator(c for expr in terms for _, _, c in expr)
-    d_gen = _common_denominator(v for a in gens for row in a.data for v in row.values())
-    int_gens = [_scaled((a.transpose() if columns else a).data, d_gen) for a in gens]
-    scaled = [[{j: 1} for j in range(dim)]]
-    yield scaled[0]
-    for u, expr in zip(elements[1:], terms[1:]):
-        acc: list[dict[int, int]] = [{} for _ in range(dim)]
-        for i, up_idx, coeff in expr:
-            c = coeff.numerator * (d_coeff // coeff.denominator)
-            # vector x of c G S: sum over k of c left[x][k] right[k]
-            left, right = int_gens[i - 1], scaled[up_idx]
-            if columns:
-                left, right = right, left
-            for vector, target in zip(left, acc):
-                for k, a in vector.items():
-                    ca = c * a
-                    for j, b in right[k].items():
-                        target[j] = target.get(j, 0) + ca * b
-        # drop the entries that cancelled
-        acc = [{j: v for j, v in row.items() if v} if 0 in row.values() else row for row in acc]
-        scaled.append(acc)
-        denominator = (d_coeff * d_gen) ** u.length
-        if denominator == 1:
-            yield acc
-        else:
-            yield [{j: divide(v, denominator) for j, v in row.items()} for row in acc]
-
-
 def derived_actions(ring: CohRing, gens: Sequence[QMatrix]) -> list[QMatrix]:
     """The action matrix of sigma_v for every v in element order; see
-    `_action_rows`."""
+    `CohRing.action_rows`."""
     dim = gens[0].cols
-    return [QMatrix.from_rows(rows, dim) for rows in _action_rows(ring, gens, None)]
+    return [QMatrix.from_rows(rows, dim) for rows in ring.action_rows([a.data for a in gens])]
 
 
 def class_matrix(actions: Sequence[QMatrix], c: Row, dim: int) -> QMatrix:
@@ -154,7 +96,7 @@ def extend(ring: CohRing, i: int, module: GradedModule) -> GradedModule:
 
     # the split parts below have degree <= 2, so classes up to length 2
     # suffice; shifted[b][v][m] is row m of sigma_v with column k moved to 2k + b
-    low = list(_action_rows(ring, module.gens, 2))
+    low = list(ring.action_rows([a.data for a in module.gens], 2))
     shifted = [
         [[{2 * k + b: x for k, x in row.items()} for row in rows] for rows in low] for b in (0, 1)
     ]
@@ -252,7 +194,8 @@ def _action_cols(ring: CohRing, module: GradedModule) -> tuple[tuple[Row, ...], 
     run target-major.
     """
     span = (max(module.degrees) - min(module.degrees)) // 2
-    return tuple(map(tuple, _action_rows(ring, module.gens, span, columns=True)))
+    columns = [a.transpose().data for a in module.gens]
+    return tuple(map(tuple, ring.action_rows(columns, span, columns=True)))
 
 
 def _act(columns: tuple[tuple[Row, ...], ...], v: int, vector: Row) -> Row:
@@ -373,9 +316,6 @@ class ModuleFamily:
 
     def __getitem__(self, w: WeylElement) -> GradedModule:
         return self.modules[w.idx]
-
-    def __contains__(self, w: WeylElement) -> bool:
-        return w.idx in self.modules
 
     @property
     def group(self) -> WeylGroup:

@@ -8,7 +8,7 @@ vertex 2 to vertex 5 and back to vertex 2.
 import re
 from fractions import Fraction
 
-from oquiver.quiver import PathCombo, vertex_ids
+from oquiver.quiver import vertex_ids
 
 RELATORS_A2 = """
 (121), (131),
@@ -26,19 +26,16 @@ RELATORS_A2 = """
 
 
 def parse_appendix_relators(q, text=RELATORS_A2):
-    """Parse "(121), (252) + (212), ..." into PathCombos (appendix ids)."""
+    """Parse "(121), (252) + (212), ..." into path-keyed relator dicts
+    (appendix ids)."""
     ids = vertex_ids(q, appendix_numbering=True)
     to_idx = {vid: k for k, vid in enumerate(ids)}
-    combos = []
+    relators = []
     for chunk in re.split(r",(?![^(]*\))", text.replace("\n", " ")):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
         terms = {}
         for sign, digits in re.findall(r"([+-]?)\s*\((\d{3})\)", chunk):
             y, z, w = (to_idx[int(d)] for d in digits)
-            coeff = Fraction(-1 if sign == "-" else 1)
-            terms[(y, 0, z, 0, w)] = coeff
-        src, _, dst = (to_idx[int(d)] for d in re.search(r"\((\d)(\d)(\d)\)", chunk).groups())
-        combos.append(PathCombo(src, dst, terms))
-    return combos
+            terms[(y, 0, z, 0, w)] = Fraction(-1 if sign == "-" else 1)
+        if terms:
+            relators.append(terms)
+    return relators

@@ -8,7 +8,6 @@ from oquiver.cache import load_pipeline
 from oquiver.homspace import hom_basis
 from oquiver.quiver import (
     MalformedPath,
-    PathCombo,
     build_quiver,
     parse_relations,
     relator_str,
@@ -39,11 +38,13 @@ def a1_quiver():
 from golden_a2 import RELATORS_A2, parse_appendix_relators
 
 
-def _relators_as_combos(q):
-    """The computed relators in the form of a relator list from outside."""
+def _relators_as_dicts(q, skip=None):
+    """The computed relators in the form of a relator list from outside,
+    leaving out the pair `skip`."""
     return [
-        PathCombo(*pair, {q.paths(*pair)[n]: c for n, c in row.items()})
+        {q.paths(*pair)[n]: c for n, c in row.items()}
         for pair, rows in q.relators().items()
+        if pair != skip
         for row in rows
     ]
 
@@ -80,14 +81,10 @@ def test_a2_pair_23_span(a2_quiver):
     assert len(computed) == 2
     w0, s1, s2 = g.longest, g.simple(1), g.simple(2)
     want = [
-        PathCombo(y.idx, w.idx, {(y.idx, 0, s1.idx, 0, w.idx): Fraction(1),
-                                 (y.idx, 0, w0.idx, 0, w.idx): Fraction(1)}),
-        PathCombo(y.idx, w.idx, {(y.idx, 0, s2.idx, 0, w.idx): Fraction(1),
-                                 (y.idx, 0, w0.idx, 0, w.idx): Fraction(1)}),
+        {(y.idx, 0, s1.idx, 0, w.idx): Fraction(1), (y.idx, 0, w0.idx, 0, w.idx): Fraction(1)},
+        {(y.idx, 0, s2.idx, 0, w.idx): Fraction(1), (y.idx, 0, w0.idx, 0, w.idx): Fraction(1)},
     ]
-    candidate = want + [
-        c for c in _relators_as_combos(a2_quiver) if (c.source, c.target) != (y.idx, w.idx)
-    ]
+    candidate = want + _relators_as_dicts(a2_quiver, skip=(y.idx, w.idx))
     assert a2_quiver.verify_relator_space(candidate)
 
 
@@ -143,18 +140,32 @@ def test_dsquared_entries_reduce_to_zero(a2_quiver):
 
 def test_verify_rejects_empty_and_accepts_self(a2_quiver):
     assert not a2_quiver.verify_relator_space([])
-    assert a2_quiver.verify_relator_space(_relators_as_combos(a2_quiver))
+    assert a2_quiver.verify_relator_space(_relators_as_dicts(a2_quiver))
 
 
 def test_verify_malformed_path(a2_quiver):
     g = a2_quiver.group
     w0 = g.longest
+    # a missing arrow: w0 -> e has one arrow, not four
     with pytest.raises(MalformedPath):
-        a2_quiver.verify_relator_space(
-            [PathCombo(w0.idx, w0.idx, {(w0.idx, 3, g.identity.idx, 0, w0.idx): Fraction(1)})]
-        )
+        a2_quiver.verify_relator_space([{(w0.idx, 3, g.identity.idx, 0, w0.idx): 1}])
+    # a missing vertex
     with pytest.raises(MalformedPath):
-        PathCombo(0, 0, {(0, 0, 1, 0, 2): Fraction(1)})
+        a2_quiver.verify_relator_space([{(w0.idx, 0, len(g), 0, w0.idx): 1}])
+    # two paths that exist, but from different pairs
+    first, second = (a2_quiver.paths(*pair)[0] for pair in list(a2_quiver.relators())[:2])
+    assert (first[0], first[-1]) != (second[0], second[-1])
+    with pytest.raises(MalformedPath, match="span the pairs"):
+        a2_quiver.verify_relator_space([{first: 1, second: 1}])
+
+
+def test_parse_relations_rejects_endpoints_off_the_relation(a2_quiver):
+    doc = json.loads(json.dumps(to_json_doc(a2_quiver)))
+    rel = next(r for r in doc["relations"] if r["source"] != r["target"])
+    path = rel["terms"][0]["path"]
+    path[0], path[4] = path[4], path[0]  # a path of the reversed pair
+    with pytest.raises(MalformedPath, match="does not run from"):
+        parse_relations(a2_quiver, doc)
 
 
 def test_json_round_trip(a2_quiver):

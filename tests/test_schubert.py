@@ -119,6 +119,23 @@ def test_associative_random_triples(name):
         assert lhs == rhs
 
 
+@pytest.mark.parametrize("name", ["A2", "B2", "G2", "A3", "B3"])
+def test_table_obeys_chevalley_rule(name):
+    # (sigma_i sigma_u) sigma_v = sum_t table[u][v]_t sigma_i sigma_t for every
+    # i, u and v; with the unit row this fixes every row of the table, and off
+    # type A fractional expression coefficients reach its division step
+    g = generate_weyl(build(name))
+    ring = build_ring(g)
+    for i in range(1, g.rootsystem.rank + 1):
+        by_chevalley = [ring.chevalley_multiply(i, t) for t in g]
+        for u in g:
+            for v in g:
+                want = {}
+                for t, c in ring.multiply_basis(u, v).items():
+                    subtract_scaled(want, -c, by_chevalley[t])
+                assert ring.multiply(by_chevalley[u.idx], {v.idx: 1}) == want, (i, u, v)
+
+
 @pytest.mark.parametrize("name", ["A2", "B2", "G2"])
 def test_homogeneity(name):
     g = generate_weyl(build(name))
