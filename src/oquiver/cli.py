@@ -4,8 +4,9 @@ Command line surface.
 Subcommands: weyl, cohomology, ih, hom, kl, quiver, check, and the icmod
 group (validate / cohomology / dual).  Exit codes: 0 success, 1 domain
 errors (unknown type, malformed element, unwritable cache, invalid input
-module), 2 usage errors.  Output is deterministic byte for byte for fixed
-flags; `--seed` pins the randomized parts of `check`.
+module), 2 usage errors, 141 with nothing on stderr when the reader closes
+stdout early (as `head` does).  Output is deterministic byte for byte for
+fixed flags; `--seed` pins the randomized parts of `check`.
 """
 
 from __future__ import annotations
@@ -290,7 +291,16 @@ def main(argv: list[str] | None = None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout: not an error of this run, so no message;
+        # /dev/null takes the descriptor so the flush at exit cannot raise again
+        import os
+
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except DOMAIN_ERRORS as exc:
         # one line, even when a message quotes document text with a newline
         print(f"error: {exc}".replace("\n", "\\n"), file=sys.stderr)

@@ -18,19 +18,33 @@ its degree pieces, build the total complex.
 Verdier duality dualizes stalks and transposes boundary maps against the
 self-duality of each V_w, with no extra signs.
 
-What depends only on the quiver is solved once per quiver: the relators,
+What depends only on the quiver is solved once per quiver: the element
+names (stored on each element when the group is generated), the relators,
 the pairings V_w -> V_w*, and per pair the dual of each arrow in the
-Hom^1 basis.  So an operation on a document does only per-document work:
-element names are looked up (`WeylGroup.parse`), the relators are
-evaluated on its stalk products, d is written entry by entry into the rows
-of the total complex, and a dual scales and sums transposed stalk matrices.
+Hom^1 basis.  So an operation on a document does only per-document work,
+and copies no matrix only to read it once more: matrix entries are parsed
+straight into Rows and element names are looked up (`WeylGroup.parse`);
+the relators are evaluated on its stalk products; d is written entry by
+entry into the rows of the total complex, and cohomology ranks those rows
+degree by degree as they are; a dual writes each stalk entry, scaled,
+straight into its transposed place in the dual rows; and writing reads
+the stored names.
 """
 
 from __future__ import annotations
 
 import functools
 
-from .linalg import QMatrix, Row, format_rational, in_span, parse_rational, rank, subtract_scaled
+from .linalg import (
+    DimensionMismatch,
+    QMatrix,
+    Row,
+    format_rational,
+    in_span,
+    parse_rational,
+    rank,
+    subtract_scaled,
+)
 from .quiver import PathKey, Quiver
 from .schubert import InternalConsistencyError
 from .soergel import GradedModule, graded_hom_basis
@@ -205,10 +219,7 @@ def total_cohomology(q: Quiver, m: ICModule) -> dict[int, int]:
     for idx, deg in enumerate(degrees):
         by_degree.setdefault(deg, []).append(idx)
     # d has degree 1, so the rows of degree n + 1 are the piece of d from degree n
-    ranks = {
-        n: rank(QMatrix.from_rows([d.data[r] for r in by_degree.get(n + 1, [])], d.cols))
-        for n in by_degree
-    }
+    ranks = {n: rank([d.data[r] for r in by_degree.get(n + 1, [])]) for n in by_degree}
     out = {}
     for n in sorted(by_degree):
         h = len(by_degree[n]) - ranks[n] - ranks.get(n - 1, 0)
@@ -239,7 +250,7 @@ def _duality(q: Quiver) -> tuple[list[QMatrix], dict[tuple[int, int], list[Row]]
     for w in q.group.elements:
         module = q.family.modules[w.idx]
         maps = graded_hom_basis(q.family.ring, module, _dual_module(module), 0)
-        if len(maps) != 1 or rank(maps[0]) != module.dim:
+        if len(maps) != 1 or rank(maps[0].data) != module.dim:
             raise InternalConsistencyError(  # pragma: no cover - internal self-check
                 f"self-duality pairing of V[{w}] is not unique and invertible"
             )
@@ -276,7 +287,8 @@ def verdier_dual(q: Quiver, m: ICModule) -> ICModule:
 
     The re-expression depends only on the quiver: arrow k of (w, y) dualizes
     to sum_j c_j B_j, with c solved once per quiver and pair (`_transport`).
-    A term (k, S) then contributes c_j S^T to the dual term j."""
+    A term (k, S) then contributes c_j S^T to the dual term j: each entry
+    S[i, col] adds c_j S[i, col] at row col, column i of that term."""
     _check_shapes(q, m)
     isos, transport = _duality(q)
     boundary: dict[tuple[int, int], list[tuple[int, QMatrix]]] = {}
@@ -287,11 +299,12 @@ def verdier_dual(q: Quiver, m: ICModule) -> ICModule:
         coeffs = transport[(w, y)]
         sums: dict[int, list[Row]] = {}
         for k, stalk_map in terms:
-            transposed = stalk_map.transpose().data
             for j, c in coeffs[k].items():
-                rows = sums.setdefault(j, [{} for _ in transposed])
-                for target, row in zip(rows, transposed):
-                    subtract_scaled(target, -c, row)
+                rows = sums.setdefault(j, [{} for _ in range(stalk_map.cols)])
+                for i, row in enumerate(stalk_map.data):
+                    for col, a in row.items():
+                        target = rows[col]
+                        target[i] = target.get(i, 0) + c * a
         boundary[(y, w)] = [
             (j, QMatrix.from_rows(rows, m.stalk_dim(y))) for j, rows in sorted(sums.items())
         ]
@@ -311,7 +324,7 @@ def icmodule_to_doc(q: Quiver, m: ICModule) -> dict:
                 "from": str(g.elements[y]),
                 "to": str(g.elements[w]),
                 "k": k,
-                "matrix": [[format_rational(x) for x in row] for row in mat.dense()],
+                "matrix": [[format_rational(row.get(j, 0)) for j in range(mat.cols)] for row in mat.data],
             }
             for (y, w), terms in sorted(m.boundary.items())
             for k, mat in terms
@@ -344,15 +357,30 @@ def _element(q: Quiver, text, where: str) -> int:
 
 
 def _stalk_matrix(rows, cols: int, where: str) -> QMatrix:
-    if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+    """A matrix of "p/q" strings, parsed straight into Rows.  A malformed
+    matrix is named by its first fault in this order: not a list of lists,
+    an entry that is not a string, an entry that is not a rational, ragged
+    rows."""
+    if not isinstance(rows, list):
         raise ShapeError(f"{where}: matrix is not a list of rows")
-    if not all(isinstance(x, str) for r in rows for x in r):
-        raise ShapeError(f'{where}: matrix entries must be strings like "p/q"')
+    data = []
     try:
-        entries = [[parse_rational(x) for x in r] for r in rows]
-    except (ValueError, ZeroDivisionError) as exc:
+        for r in rows:
+            if not isinstance(r, list):
+                raise TypeError
+            # parse_rational raises TypeError on an entry that is not a string
+            data.append({j: v for j, x in enumerate(r) if (v := parse_rational(x))})
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        if not all(isinstance(r, list) for r in rows):
+            raise ShapeError(f"{where}: matrix is not a list of rows") from None
+        if not all(isinstance(x, str) for r in rows for x in r):
+            raise ShapeError(f'{where}: matrix entries must be strings like "p/q"') from None
         raise ShapeError(f"{where}: bad matrix entry ({exc})") from None
-    return QMatrix(entries, cols=cols)
+    if rows:
+        cols = len(rows[0])
+        if any(len(r) != cols for r in rows):
+            raise DimensionMismatch("ragged rows")
+    return QMatrix.from_rows(data, cols)
 
 
 def icmodule_from_doc(q: Quiver, doc: dict) -> ICModule:
@@ -376,6 +404,7 @@ def icmodule_from_doc(q: Quiver, doc: dict) -> ICModule:
     if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
         raise ShapeError("document boundary is not a list of objects")
     boundary: dict[tuple[int, int], list[tuple[int, QMatrix]]] = {}
+    seen: set[tuple[int, int, int]] = set()
     for n, entry in enumerate(entries):
         where = f"boundary entry {n}"
         y = _element(q, entry.get("from"), f"{where} from")
@@ -386,9 +415,9 @@ def icmodule_from_doc(q: Quiver, doc: dict) -> ICModule:
         mat = _stalk_matrix(entry.get("matrix"), stalks.get(y, 0), where)
         # checked on reading, so a bad entry is refused before a repeated one
         _check_term(q, stalks, y, w, k, mat)
-        terms = boundary.setdefault((y, w), [])
-        if any(j == k for j, _ in terms):
+        if (y, w, k) in seen:
             # d would sum the two maps, but a dual written back gives one term
             raise ShapeError(f"{where} repeats hom index {k} on pair ({y}, {w})")
-        terms.append((k, mat))
+        seen.add((y, w, k))
+        boundary.setdefault((y, w), []).append((k, mat))
     return ICModule(stalks, boundary)

@@ -65,7 +65,8 @@ def parse_rational(s: str) -> int | Fraction:
     match = _RATIONAL.fullmatch(s)
     if match is None:
         raise ValueError(f'{s!r} is not a rational like "p" or "p/q"')
-    return divide(int(match[1]), int(match[2] or 1))
+    numerator = int(match[1])
+    return numerator if match[2] is None else divide(numerator, int(match[2]))
 
 
 class QMatrix:
@@ -301,23 +302,25 @@ class RowSpan:
         return [dict(sorted(self._rows[p].items())) for p in sorted(self._rows)]
 
 
-def rank(m: QMatrix) -> int:
-    """The rank of m by fraction-free elimination (cf. Bareiss, Math. Comp. 22, 1968).
+def rank(rows: Sequence[Row]) -> int:
+    """The rank of the span of some Rows (a matrix's `data`, or rows taken
+    straight from one) by fraction-free elimination (cf. Bareiss, Math.
+    Comp. 22, 1968).
 
     Only the count of pivots is wanted, not a canonical basis, so no
-    reduced form is kept and no Fraction is formed: each row is scaled to
-    integers by the lcm of its denominators, reduced against the stored
-    pivot rows as a * vec - b * pivot, and divided by the gcd of its
-    entries to keep them small."""
+    reduced form is kept and no Fraction is formed: a row with a Fraction
+    entry is scaled to integers by the lcm of its denominators, reduced
+    against the stored pivot rows as a * vec - b * pivot, and, when a != 1
+    scaled it, divided by the gcd of its entries to keep them small."""
     pivots: dict[int, Row] = {}
-    full = min(m.rows, m.cols)
-    for row in m.data:
+    for row in rows:
         if not row:
             continue
-        if len(pivots) == full:
-            break
-        scale = lcm(*(v.denominator for v in row.values()))
-        vec = {j: v.numerator * (scale // v.denominator) for j, v in row.items()}
+        if all(type(v) is int for v in row.values()):
+            vec = dict(row)
+        else:
+            scale = lcm(*(v.denominator for v in row.values()))
+            vec = {j: v.numerator * (scale // v.denominator) for j, v in row.items()}
         while vec:
             p = min(vec)
             pivot = pivots.get(p)
@@ -329,9 +332,10 @@ def rank(m: QMatrix) -> int:
             if a != 1:
                 vec = {j: a * v for j, v in vec.items()}
             subtract_scaled(vec, b, pivot)
-            content = gcd(*vec.values())
-            if content > 1:
-                vec = {j: v // content for j, v in vec.items()}
+            if a != 1:
+                content = gcd(*vec.values())
+                if content > 1:
+                    vec = {j: v // content for j, v in vec.items()}
     return len(pivots)
 
 

@@ -20,17 +20,13 @@ individual coefficients but not spans.
 The quiver keeps each datum in one form: an arrow is a (y, w, k) index
 into `hom1`, and a relator is a Row over the indices into `paths(y, w)`,
 which the cache, `icmod.validate` and the renderers all read as they are.
-A relator list from outside (a parsed export, the classical A2 list) is a
-list of dicts from path keys (y, j, z, i, w) to coefficients, which
-`verify_relator_space` turns into Rows by one index lookup per path.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .linalg import QMatrix, Row, RowSpan, canonical_basis, exact, format_rational, parse_rational
+from .linalg import QMatrix, Row, RowSpan, canonical_basis, exact, format_rational
 from .rootsystem import WeylElement
 from .homspace import hom_basis
 from .soergel import ModuleFamily
@@ -115,33 +111,6 @@ class Quiver:
                     totals[1] += nrel
                     totals[2] += npaths - nrel
         return {"pairs": per_pair, "totals": tuple(totals)}
-
-    def verify_relator_space(self, candidate: Iterable[dict[PathKey, int | Fraction]]) -> bool:
-        """Subspace equality of the candidate with the computed relators.
-
-        Each candidate relator maps length-2 paths (y, j, z, i, w) of one
-        ordered pair to coefficients.  Grouped per pair; list order, scaling
-        and basis choice are irrelevant.  Raises MalformedPath on a path the
-        quiver does not have, and on a relator whose paths span two pairs.
-        """
-        index = {key: n for keys in self._paths.values() for n, key in enumerate(keys)}
-        grouped: dict[tuple[int, int], list[Row]] = {}
-        for relator in candidate:
-            pairs = {(key[0], key[-1]) for key in relator}
-            if len(pairs) > 1:
-                raise MalformedPath(f"a relator's paths span the pairs {sorted(pairs)}")
-            try:
-                row = {index[key]: exact(c) for key, c in relator.items() if c}
-            except KeyError as exc:
-                raise MalformedPath(f"no path {exc.args[0]} in the quiver") from None
-            if pairs:
-                grouped.setdefault(pairs.pop(), []).append(row)
-        computed = self.relators()
-        for pair in set(grouped) | {k for k, v in computed.items() if v}:
-            ncols = len(self.paths(*pair))
-            if canonical_basis(computed.get(pair, []), ncols) != canonical_basis(grouped.get(pair, []), ncols):
-                return False
-        return True
 
     def all_pm_one(self) -> bool:
         """Whether the canonical relator basis has all coefficients in {0, +-1}.
@@ -268,7 +237,8 @@ def relator_str(ids: Sequence[int], keys: Sequence[PathKey], row: Row) -> str:
 
 
 def to_json_doc(q: Quiver, appendix_numbering: bool = False) -> dict:
-    """The machine-readable export; re-ingestable by :func:`parse_relations`."""
+    """The machine-readable export: vertices with their words, arrows, and
+    every relator as terms over paths given by vertex ids and arrow indices."""
     g = q.group
     ids = vertex_ids(q, appendix_numbering)
     doc = {
@@ -289,26 +259,6 @@ def to_json_doc(q: Quiver, appendix_numbering: bool = False) -> dict:
                 terms.append({"path": [source, j, ids[z], i, target], "coeff": format_rational(c)})
             doc["relations"].append({"source": source, "target": target, "terms": terms})
     return doc
-
-
-def parse_relations(q: Quiver, doc: dict) -> list[dict[PathKey, int | Fraction]]:
-    """The relators of an exported document as path-keyed dicts (ids
-    resolved via vertices); raises MalformedPath on a term whose endpoints
-    are not its relation's source and target."""
-    by_id: dict[int, int] = {}
-    for v in doc["vertices"]:
-        by_id[v["id"]] = q.group.parse(v["word"]).idx
-    relators = []
-    for rel in doc["relations"]:
-        source, target = by_id[rel["source"]], by_id[rel["target"]]
-        terms: dict[PathKey, int | Fraction] = {}
-        for term in rel["terms"]:
-            y, j, z, i, w = term["path"]
-            if (by_id[y], by_id[w]) != (source, target):
-                raise MalformedPath(f"path {term['path']} does not run from {rel['source']} to {rel['target']}")
-            terms[(source, j, by_id[z], i, target)] = parse_rational(term["coeff"])
-        relators.append(terms)
-    return relators
 
 
 def to_dot(q: Quiver, appendix_numbering: bool = False) -> str:

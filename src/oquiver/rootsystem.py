@@ -223,20 +223,23 @@ def build(type_label: str, rank: int | None = None) -> RootSystem:
 
 
 class WeylElement:
-    """A Weyl group element: integer action matrix, cached length and word.
+    """A Weyl group element: integer action matrix, cached length, word and name.
 
     `word` is the lexicographically least reduced word, as 1-based generator
-    indices.  Elements are interned by their group; equality checks the
+    indices, and `name` is that word dot-separated ("1.2.1"), "e" for the
+    identity: the string `str(w)` returns, formed once when the group is
+    generated.  Elements are interned by their group; equality checks the
     action matrix and refuses cross-group comparisons.
     """
 
-    __slots__ = ("group", "action", "length", "word", "idx", "_hash")
+    __slots__ = ("group", "action", "length", "word", "name", "idx", "_hash")
 
     def __init__(self, group: "WeylGroup", action: ActionMatrix, length: int, word: tuple[int, ...], idx: int):
         self.group = group
         self.action = action
         self.length = length
         self.word = word
+        self.name = ".".join(map(str, word)) if word else "e"
         self.idx = idx
         self._hash = hash(action)
 
@@ -256,15 +259,10 @@ class WeylElement:
         return self.group.multiply(self, other)
 
     def __str__(self) -> str:
-        return element_str(self)
+        return self.name
 
     def __repr__(self) -> str:
-        return f"<{self.group.rootsystem.name} {element_str(self)}>"
-
-
-def element_str(w: WeylElement) -> str:
-    """Dot-separated generator indices, identity rendered as "e"."""
-    return ".".join(str(i) for i in w.word) if w.word else "e"
+        return f"<{self.group.rootsystem.name} {self.name}>"
 
 
 class WeylGroup:
@@ -332,7 +330,7 @@ class WeylGroup:
         ]
         self.index: dict[ActionMatrix, int] = {m: k for k, m in enumerate(ordered)}
         #: canonical element name -> element, the names `str(w)` writes
-        self.by_name: dict[str, WeylElement] = {str(w): w for w in self.elements}
+        self.by_name: dict[str, WeylElement] = {w.name: w for w in self.elements}
         self.generators: list[WeylElement] = [
             self.elements[self.index[g]] for g in gens
         ]

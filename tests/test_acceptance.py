@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from golden_a2 import parse_appendix_relators
+from relator_space import verify_relator_space
 
 from oquiver.cache import load_pipeline
 from oquiver.checks import check_prop36, check_verdier_involution, word_module_family
@@ -41,7 +42,7 @@ def test_criterion_1_a2_golden_quiver():
     assert len(q.group) == 6
     assert len(q.arrows) == 16
     assert q.relator_dim() == 22
-    assert q.verify_relator_space(parse_appendix_relators(q))
+    assert verify_relator_space(q, parse_appendix_relators(q))
     took = time.perf_counter() - t0
     note(f"PASS 1: A2 golden quiver (6 vertices, 16 arrows, dim R = 22, "
          f"relator span matches the classical list; {took:.2f}s)")

@@ -16,7 +16,8 @@ from oquiver import cache, rootsystem
 from oquiver.cli import main
 from oquiver.checks import sample_reps
 from oquiver.icmod import MAX_TOTAL_DIM, icmodule_from_doc, icmodule_to_doc, verdier_dual
-from oquiver.quiver import parse_relations, to_json_doc
+from oquiver.quiver import to_json_doc
+from relator_space import parse_relations, verify_relator_space
 
 
 def run_cli(*argv, capsys):
@@ -139,7 +140,7 @@ def test_quiver_json_round_trip(tmp_path, capsys):
     assert code == 0
     doc = json.loads(out_file.read_text())
     q = cache.load_pipeline("A2", no_cache=True).quiver
-    assert q.verify_relator_space(parse_relations(q, doc))
+    assert verify_relator_space(q, parse_relations(q, doc))
 
 
 def test_quiver_dot(capsys):
@@ -542,6 +543,36 @@ def test_unwritable_cache_dir_is_domain_error(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_closed_stdout_exits_141_without_a_message():
+    # the read end is closed before the CLI writes, so every write fails:
+    # a reader that stops early (like `head`) is not an error of the run
+    env = {"PATH": "/usr/bin:/bin", "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    for argv in (("weyl", "--type", "B3"), ("quiver", "--type", "A2", "--format", "text", "--no-cache")):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "oquiver.cli", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait() == 141
+        assert err == b""
+
+
+def test_missing_input_and_unwritable_out_are_domain_errors(tmp_path, capsys):
+    code, out, err = run_cli("icmod", "dual", str(tmp_path / "missing.json"), "--no-cache", capsys=capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    document = tmp_path / "doc.json"
+    document.write_text(json.dumps(_a1_doc()))
+    code, out, err = run_cli(
+        "icmod", "dual", str(document), "--out", str(tmp_path / "no-dir" / "dual.json"),
+        "--no-cache", capsys=capsys,
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 A1_SYSTEM = {"type": "A", "rank": 1}
 
 
@@ -584,6 +615,12 @@ def _zeros(rows, cols):
         (_a1_doc(boundary=_a1_entry(matrix=[["1e5000"]])), "bad matrix entry"),
         (_a1_doc(boundary=_a1_entry(matrix=[["1e10000000"]])), "bad matrix entry"),
         (_a1_doc(boundary=_a1_entry(matrix=[["0.5"]])), "bad matrix entry"),
+        # a matrix with several faults is named by the first in the order:
+        # not a list of lists, an entry not a string, a bad entry, ragged rows
+        (_a1_doc(boundary=_a1_entry(matrix=[["x"], [1], "1"])), "not a list of rows"),
+        (_a1_doc(boundary=_a1_entry(matrix=[["x"], [1]])), 'must be strings like "p/q"'),
+        (_a1_doc(boundary=_a1_entry(matrix=[["1", "2"], ["1/0"]])), "bad matrix entry (Fraction(1, 0))"),
+        (_a1_doc(boundary=_a1_entry(matrix=[["1", "2"], ["1"]])), "error: ragged rows"),
         (_a1_doc(stalks={"e": 10**30}), f"more than {MAX_TOTAL_DIM} dimensions"),
         # dim V_e = 1 and dim V_1 = 2, so one past the bound
         (_a1_doc(stalks={"e": 1, "1": MAX_TOTAL_DIM // 2}), f"more than {MAX_TOTAL_DIM} dimensions"),
@@ -598,7 +635,9 @@ def _zeros(rows, cols):
     ],
     ids=["no-stalks", "k-text", "entry-abc", "entry-1/0", "list", "system-text",
          "stalk-negative", "stalk-float", "matrix-text", "entry-exponent",
-         "entry-huge-exponent", "entry-decimal", "stalk-huge", "stalks-past-bound",
+         "entry-huge-exponent", "entry-decimal", "first-fault-row-not-list",
+         "first-fault-entry-not-string", "first-fault-bad-entry", "ragged",
+         "stalk-huge", "stalks-past-bound",
          "zero-k-out-of-range", "k-out-of-range", "zero-non-incident", "zero-bad-shape",
          "empty-matrix", "repeated-term"],
 )

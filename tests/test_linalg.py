@@ -10,6 +10,7 @@ from oquiver.linalg import (
     QMatrix,
     RowSpan,
     canonical_basis,
+    exact,
     format_rational,
     in_span,
     nullspace_of_rows,
@@ -144,14 +145,14 @@ def test_rref_idempotent(rows):
     m = QMatrix(rows)
     reduced = canonical_basis(m.data, m.cols)
     assert canonical_basis(reduced, m.cols) == reduced
-    assert len(reduced) == rank(m)
+    assert len(reduced) == rank(m.data)
 
 
 @settings(max_examples=60, deadline=None)
 @given(small_matrix)
 def test_rank_transpose_invariant(rows):
     m = QMatrix(rows)
-    assert rank(m) == rank(m.transpose())
+    assert rank(m.data) == rank(m.transpose().data)
 
 
 @settings(max_examples=60, deadline=None)
@@ -159,7 +160,7 @@ def test_rank_transpose_invariant(rows):
 def test_nullspace_vectors_annihilate(rows):
     m = QMatrix(rows)
     basis = nullspace_of_rows(m.data, m.cols)
-    assert len(basis) == m.cols - rank(m)
+    assert len(basis) == m.cols - rank(m.data)
     for v in basis:
         assert m.matvec(v) == {}
     # the vectors are independent
@@ -200,10 +201,45 @@ rank_matrix = st.tuples(st.integers(1, 7), st.integers(1, 7)).flatmap(
 @given(rank_matrix)
 def test_rank_matches_canonical_basis(rows):
     m = QMatrix(rows)
-    assert rank(m) == len(canonical_basis(m.data, m.cols))
+    assert rank(m.data) == len(canonical_basis(m.data, m.cols))
     # a dependent row (a rational combination of the others) adds nothing
     combined = [sum((F(k + 1, 3) * r[j] for k, r in enumerate(rows)), F(0)) for j in range(m.cols)]
-    assert rank(QMatrix(rows + [combined])) == rank(m)
+    assert rank(QMatrix(rows + [combined]).data) == rank(m.data)
+
+
+# Row values: small ints; Fractions; and ints without a unit, so every
+# elimination step scales a row by a non-unit a = pivot / gcd
+row_values = {
+    "int": st.integers(-4, 4),
+    "fraction": st.fractions(min_value=-3, max_value=3, max_denominator=5),
+    "non-unit": st.sampled_from([-6, -3, -2, 0, 2, 3, 4, 6, 9]),
+}
+
+
+@st.composite
+def row_lists(draw, values):
+    ncols = draw(st.integers(1, 6))
+    rows = draw(st.lists(
+        st.dictionaries(st.integers(0, ncols - 1), values, max_size=ncols), max_size=7
+    ))
+    return [{j: exact(v) for j, v in row.items() if v} for row in rows], ncols
+
+
+@pytest.mark.parametrize("kind", sorted(row_values))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_rank_of_rows_matches_canonical_basis(kind, data):
+    rows, ncols = data.draw(row_lists(row_values[kind]))
+    assert rank(rows) == len(canonical_basis(rows, ncols))
+
+
+def test_rank_of_rows_with_non_unit_pivots():
+    # 3 x + 5 y against the pivot row 2 x + 3 y is scaled by a = 2 first
+    assert rank([{0: 2, 1: 3}, {0: 3, 1: 5}]) == 2
+    assert rank([{0: 2, 1: 3}, {0: 3, 1: 9 / F(2)}]) == 1
+    # x + 3 y - (x + y) = 2 y keeps its content 2 (a = 1), and 2 y is dependent
+    assert rank([{0: 1, 1: 1}, {0: 1, 1: 3}, {1: 2}]) == 2
+    assert rank([{0: 1, 1: 1}, {0: 1, 1: 3}, {1: 2}, {0: 5}]) == 2
 
 
 def _dense_product(a, b):

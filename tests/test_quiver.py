@@ -9,7 +9,6 @@ from oquiver.homspace import hom_basis
 from oquiver.quiver import (
     MalformedPath,
     build_quiver,
-    parse_relations,
     relator_str,
     to_dot,
     to_json_doc,
@@ -36,6 +35,7 @@ def a1_quiver():
 
 
 from golden_a2 import RELATORS_A2, parse_appendix_relators
+from relator_space import parse_relations, verify_relator_space
 
 
 def _relators_as_dicts(q, skip=None):
@@ -61,7 +61,7 @@ def test_a2_relator_dimension_22(a2_quiver):
 def test_a2_matches_classical_relator_list(a2_quiver):
     combos = parse_appendix_relators(a2_quiver, RELATORS_A2)
     assert len(combos) == 22
-    assert a2_quiver.verify_relator_space(combos)
+    assert verify_relator_space(a2_quiver, combos)
 
 
 def test_a2_loop_pair_kills_both_loops(a2_quiver):
@@ -85,7 +85,7 @@ def test_a2_pair_23_span(a2_quiver):
         {(y.idx, 0, s2.idx, 0, w.idx): Fraction(1), (y.idx, 0, w0.idx, 0, w.idx): Fraction(1)},
     ]
     candidate = want + _relators_as_dicts(a2_quiver, skip=(y.idx, w.idx))
-    assert a2_quiver.verify_relator_space(candidate)
+    assert verify_relator_space(a2_quiver, candidate)
 
 
 def test_a1_projective_line(a1_quiver):
@@ -139,8 +139,8 @@ def test_dsquared_entries_reduce_to_zero(a2_quiver):
 
 
 def test_verify_rejects_empty_and_accepts_self(a2_quiver):
-    assert not a2_quiver.verify_relator_space([])
-    assert a2_quiver.verify_relator_space(_relators_as_dicts(a2_quiver))
+    assert not verify_relator_space(a2_quiver, [])
+    assert verify_relator_space(a2_quiver, _relators_as_dicts(a2_quiver))
 
 
 def test_verify_malformed_path(a2_quiver):
@@ -148,15 +148,15 @@ def test_verify_malformed_path(a2_quiver):
     w0 = g.longest
     # a missing arrow: w0 -> e has one arrow, not four
     with pytest.raises(MalformedPath):
-        a2_quiver.verify_relator_space([{(w0.idx, 3, g.identity.idx, 0, w0.idx): 1}])
+        verify_relator_space(a2_quiver, [{(w0.idx, 3, g.identity.idx, 0, w0.idx): 1}])
     # a missing vertex
     with pytest.raises(MalformedPath):
-        a2_quiver.verify_relator_space([{(w0.idx, 0, len(g), 0, w0.idx): 1}])
+        verify_relator_space(a2_quiver, [{(w0.idx, 0, len(g), 0, w0.idx): 1}])
     # two paths that exist, but from different pairs
     first, second = (a2_quiver.paths(*pair)[0] for pair in list(a2_quiver.relators())[:2])
     assert (first[0], first[-1]) != (second[0], second[-1])
     with pytest.raises(MalformedPath, match="span the pairs"):
-        a2_quiver.verify_relator_space([{first: 1, second: 1}])
+        verify_relator_space(a2_quiver, [{first: 1, second: 1}])
 
 
 def test_parse_relations_rejects_endpoints_off_the_relation(a2_quiver):
@@ -172,7 +172,7 @@ def test_json_round_trip(a2_quiver):
     for appendix in (False, True):
         doc = json.loads(json.dumps(to_json_doc(a2_quiver, appendix_numbering=appendix)))
         combos = parse_relations(a2_quiver, doc)
-        assert a2_quiver.verify_relator_space(combos)
+        assert verify_relator_space(a2_quiver, combos)
         assert len(doc["arrows"]) == 16
         assert len(doc["vertices"]) == 6
 

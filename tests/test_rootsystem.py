@@ -8,7 +8,6 @@ from oquiver.rootsystem import (
     InvalidRootSystem,
     MixedGroups,
     build,
-    element_str,
     generate_weyl,
     parse_type,
     weyl_order,
@@ -61,7 +60,7 @@ def test_weyl_a2_matches_s3():
     g = generate_weyl(build("A2"))
     assert len(g) == 6
     assert [w.length for w in g.elements] == [0, 1, 1, 2, 2, 3]
-    assert [element_str(w) for w in g.elements] == ["e", "1", "2", "1.2", "2.1", "1.2.1"]
+    assert [str(w) for w in g.elements] == ["e", "1", "2", "1.2", "2.1", "1.2.1"]
 
 
 def test_weyl_a1():
@@ -118,7 +117,7 @@ def test_parse_element_strings():
     g = generate_weyl(build("B2"))
     assert g.parse("e") == g.identity
     assert g.parse("1.2.1.2") == g.longest
-    assert element_str(g.parse("2.2")) == "e"
+    assert str(g.parse("2.2")) == "e"
     assert g.parse("") is g.identity
     with pytest.raises(InvalidRootSystem, match=r"^cannot parse element '1\.x'$"):
         g.parse("1.x")

@@ -322,7 +322,7 @@ def test_shortcut_vs_full_isomorphic(name):
         assert fast.graded_dims(w) == full[w.idx].graded_dims()
         maps = hom_degree0(ring, fast[w], full[w.idx])
         assert len(maps) == 1
-        assert rank(maps[0]) == fast[w].dim  # the canonical map is invertible
+        assert rank(maps[0].data) == fast[w].dim  # the canonical map is invertible
 
 
 def test_multiplicity_example_a2(a2, a2_family):
