@@ -1,12 +1,11 @@
 """
 Disk cache for the whole pipeline artifact of one root system, and the
 orchestration that builds or restores it.  A cache file holds the module
-family (per module: degrees, generator matrices, multiplicities of the
-lower summands of its cover), every nonzero Hom^1 basis and the canonical
-relator basis of every pair of vertices joined by length-2 paths.  The
-ring is cheap and is rebuilt from Chevalley's rule on restore, so a warm
-run parses, checks shapes and prints: no presentation, Hom solve or relator
-elimination.
+family (per module: degrees and generator matrices), every nonzero Hom^1
+basis and the canonical relator basis of every pair of vertices joined by
+length-2 paths.  The ring is cheap and is rebuilt from Chevalley's rule on
+restore, so a warm run parses, checks shapes and prints: no presentation,
+Hom solve or relator elimination.
 
 Every matrix is stored sparsely as `[i, j, "p/q"]` triples of its nonzero
 entries, its shape implied by the module degrees; a relator is stored as
@@ -17,9 +16,9 @@ exact, since B3 modules have denominators.
 Cache files are content-addressed by (type, rank, artifact version) in
 the file name (`<type><rank>-v<version>.json`), carry a sha256 checksum of
 the canonical payload, and are written atomically through a unique
-temporary file.  A stale version or a malformed or corrupted file is
-reported and silently recomputed; rationals restore exactly, so a warm run
-reproduces a cold run byte for byte.
+temporary file.  A stale version, a payload for another root system, or a
+malformed or corrupted file is reported and silently recomputed; rationals
+restore exactly, so a warm run reproduces a cold run byte for byte.
 
 The JSON the tool reads (cache files, IC-module documents) goes through
 `read_json`, and the indented documents it prints through `indented_json`.
@@ -43,7 +42,7 @@ from .rootsystem import WeylElement, WeylGroup, build, generate_weyl, parse_type
 from .schubert import CohRing
 from .soergel import GradedModule, ModuleFamily, build_all, derived_actions
 
-ARTIFACT_VERSION = 5
+ARTIFACT_VERSION = 6
 
 ENV_CACHE_DIR = "OQUIVER_CACHE"
 
@@ -175,24 +174,23 @@ def _row_from_doc(doc) -> Row:
     return row
 
 
+def _system_doc(g: WeylGroup) -> dict:
+    return {"type": g.rootsystem.type_label, "rank": g.rootsystem.rank}
+
+
 def payload_of(q: Quiver) -> dict:
     """Modules keyed by canonical element strings, pairs as element indices,
     rationals as "p/q"."""
     g = q.group
-    family = q.family
     modules = {}
     for w in g.elements:
-        module = family.modules[w.idx]
+        module = q.family.modules[w.idx]
         modules[str(w)] = {
             "degrees": list(module.degrees),
             "gens": [_sparse_doc(a) for a in module.gens],
-            "multiplicities": {
-                str(g.elements[y]): n
-                for y, n in sorted(family.multiplicities[w.idx].items())
-            },
         }
     return {
-        "system": {"type": g.rootsystem.type_label, "rank": g.rootsystem.rank},
+        "system": _system_doc(g),
         "elements": [str(w) for w in g.elements],
         "modules": modules,
         "hom1": [[y, w, [_sparse_doc(m) for m in basis]] for (y, w), basis in q.hom1.items()],
@@ -215,14 +213,7 @@ def _module_from_doc(w: WeylElement, doc: dict, rank: int) -> GradedModule:
     for a in gens:
         if any(degrees[p] != degrees[q] + 2 for p, q, _ in a.nonzero_items()):
             raise ValueError(f"module {w} has a generator that does not raise degree by 2")
-    return GradedModule(dim, degrees, gens)
-
-
-def _multiplicities_from_doc(w: WeylElement, doc: dict, lookup: dict[str, WeylElement]) -> dict[int, int]:
-    counts = doc["multiplicities"]
-    if not isinstance(counts, dict) or any(type(n) is not int or n < 1 for n in counts.values()):
-        raise ValueError(f"module {w} has multiplicities that are not positive integers")
-    return {lookup[y].idx: n for y, n in counts.items()}
+    return GradedModule(degrees, gens)
 
 
 def _pairs(doc, size: int):
@@ -258,13 +249,13 @@ def _hom1_from_doc(doc, family: ModuleFamily) -> Hom1:
 
 def restore(group: WeylGroup, payload: dict) -> Quiver:
     g = group
+    if payload["system"] != _system_doc(g):
+        raise ValueError(f"payload is for another root system than {g.rootsystem.name}")
     if payload["elements"] != [str(w) for w in g.elements]:
         raise ValueError("cached element order does not match this build")
     family = ModuleFamily(CohRing(group))
     for w in g.elements:
-        doc = payload["modules"][str(w)]
-        family.modules[w.idx] = _module_from_doc(w, doc, g.rootsystem.rank)
-        family.multiplicities[w.idx] = _multiplicities_from_doc(w, doc, g.by_name)
+        family.modules[w.idx] = _module_from_doc(w, payload["modules"][str(w)], g.rootsystem.rank)
     hom1 = _hom1_from_doc(payload["hom1"], family)
     relators = {
         pair: [_row_from_doc(row) for row in rows]
@@ -371,7 +362,7 @@ def module_doc(pipeline: Pipeline, w) -> dict:
     module = pipeline.family.modules[w.idx]
     actions = derived_actions(pipeline.ring, module.gens)
     return {
-        "system": {"type": g.rootsystem.type_label, "rank": g.rootsystem.rank},
+        "system": _system_doc(g),
         "element": str(w),
         "degrees": list(module.degrees),
         "action": {str(v): _matrix_doc(a) for v, a in zip(g.elements, actions)},

@@ -236,9 +236,7 @@ def euler_characteristic(dims: dict[int, int]) -> int:
 
 
 def _dual_module(module: GradedModule) -> GradedModule:
-    return GradedModule(
-        module.dim, tuple(-d for d in module.degrees), [a.transpose() for a in module.gens]
-    )
+    return GradedModule([-d for d in module.degrees], [a.transpose() for a in module.gens])
 
 
 @functools.lru_cache(maxsize=1)
@@ -397,7 +395,11 @@ def icmodule_from_doc(q: Quiver, doc: dict) -> ICModule:
     for el, d in doc["stalks"].items():
         if type(d) is not int or d < 0:
             raise ShapeError(f"stalk of {el} is {d!r}, not a nonnegative integer")
-        stalks[_element(q, el, "stalk element")] = d
+        w = _element(q, el, "stalk element")
+        if w in stalks:
+            # two names of one element ("e" and "1.1" over A1) would keep the last stalk
+            raise ShapeError(f"stalk element {el} names {q.group.elements[w]} again")
+        stalks[w] = d
     if sum(d * q.family.modules[w].dim for w, d in stalks.items()) > MAX_TOTAL_DIM:
         raise ShapeError(f"stalks give a total complex of more than {MAX_TOTAL_DIM} dimensions")
     entries = doc.get("boundary", [])

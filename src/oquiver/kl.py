@@ -38,11 +38,6 @@ def padd(a: Poly, b: Poly) -> Poly:
     return pnormalize([(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)])
 
 
-def psub(a: Poly, b: Poly) -> Poly:
-    n = max(len(a), len(b))
-    return pnormalize([(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0) for i in range(n)])
-
-
 def pshift(a: Poly, k: int) -> Poly:
     """Multiply by q^k."""
     return ((0,) * k + a) if a else a
@@ -92,10 +87,10 @@ class KLTable:
             s = w.word[0]
             v = g.left_mult(s, w)
             row_v = self.rows[v.idx]
-            coeffs: dict[int, list[Poly]] = {}
+            coeffs: dict[int, Poly] = {}
 
             def bump(yi: int, p: Poly) -> None:
-                coeffs[yi] = [padd(coeffs[yi][0], p)] if yi in coeffs else [p]
+                coeffs[yi] = padd(coeffs.get(yi, ZERO_POLY), p)
 
             for yi, p in row_v.items():
                 sy = g.left_mult(s, g.elements[yi])
@@ -119,9 +114,9 @@ class KLTable:
                     continue
                 shift = (w.length - z.length) // 2
                 for yi, pzy in self.rows[zi].items():
-                    bump(yi, psub(ZERO_POLY, pscale(pshift(pzy, shift), m)))
+                    bump(yi, pscale(pshift(pzy, shift), -m))
 
-            row = {yi: ps[0] for yi, ps in coeffs.items() if ps[0]}
+            row = {yi: p for yi, p in coeffs.items() if p}
             assert row[w.idx] == ONE_POLY
             for yi, p in row.items():
                 if yi != w.idx:

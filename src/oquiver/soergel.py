@@ -20,8 +20,10 @@ sigma_{s_j} . (a (x) m) = 1 (x) (x . m) + sigma_i (x) (y . m).
 V_w is extracted from the single-extension cover extend(i, V_{w s_i}): the
 copies of shorter V_y inside are located via degree-0 module maps, and a
 homogeneous basis of the quotient is grown from cyclic orbits of leftover
-basis vectors.  Iterating over a whole word gives the 2^l-dimensional
-tensor word module, which serves only as a rank-2 reference.
+basis vectors.  The number of copies of each V_y is fixed by the KL mu
+(Soergel), so the family keeps only the modules.  Iterating over a whole
+word gives the 2^l-dimensional tensor word module, which serves only as a
+rank-2 reference.
 
 Every Hom space is solved through a presentation of the source: a module
 map is fixed by the images of the 1-3 generators of the source, subject to
@@ -46,14 +48,15 @@ from .schubert import CohRing, InternalConsistencyError
 
 
 class GradedModule:
-    """A graded module over the cohomology ring, stored as one action matrix
-    per rank generator sigma_{s_1}, ..., sigma_{s_r}."""
+    """A graded module over the cohomology ring, stored as the degree of each
+    basis vector and one action matrix per rank generator sigma_{s_1}, ...,
+    sigma_{s_r}; `dim` is read off the degrees."""
 
     __slots__ = ("dim", "degrees", "gens", "_presentation")
 
-    def __init__(self, dim: int, degrees: Sequence[int], gens: Sequence[QMatrix]):
-        self.dim = dim
+    def __init__(self, degrees: Sequence[int], gens: Sequence[QMatrix]):
         self.degrees = tuple(degrees)
+        self.dim = len(self.degrees)
         self.gens = list(gens)
         # built on the first Hom solve from this module; never refers back to it
         self._presentation: Presentation | None = None
@@ -83,7 +86,7 @@ def class_matrix(actions: Sequence[QMatrix], c: Row, dim: int) -> QMatrix:
 def trivial_module(ring: CohRing) -> GradedModule:
     """V_e: one dimension in degree 0; every sigma_v with v != e acts by 0."""
     gens = [QMatrix.zeros(1, 1) for _ in range(ring.rootsystem.rank)]
-    return GradedModule(1, (0,), gens)
+    return GradedModule((0,), gens)
 
 
 def extend(ring: CohRing, i: int, module: GradedModule) -> GradedModule:
@@ -113,7 +116,7 @@ def extend(ring: CohRing, i: int, module: GradedModule) -> GradedModule:
                 for m, row in enumerate(shifted[b][v]):
                     subtract_scaled(rows[2 * m + a], -coeff, row)
         gens.append(QMatrix.from_rows(rows, dim))
-    return GradedModule(dim, degrees, gens)
+    return GradedModule(degrees, gens)
 
 
 def word_module(ring: CohRing, word: Iterable[int]) -> GradedModule:
@@ -312,7 +315,6 @@ class ModuleFamily:
     def __init__(self, ring: CohRing):
         self.ring = ring
         self.modules: dict[int, GradedModule] = {}
-        self.multiplicities: dict[int, dict[int, int]] = {}
 
     def __getitem__(self, w: WeylElement) -> GradedModule:
         return self.modules[w.idx]
@@ -335,7 +337,8 @@ def extract_top(
     V_w plus copies of V_y for y < w.
 
     Returns the quotient module (basis grown from cyclic orbits, degrees
-    inherited) together with the multiplicities n(y).
+    inherited) together with the multiplicities n(y) of the lower summands,
+    which `build_all` does not keep.
     """
     g = ring.group
     dim = module.dim
@@ -415,7 +418,7 @@ def extract_top(
                     rows[src][j] = coeff
         gens.append(QMatrix.from_rows(rows, new_dim))
 
-    quotient = GradedModule(new_dim, degrees, gens)
+    quotient = GradedModule(degrees, gens)
     if len(hom_degree0(ring, quotient, quotient)) != 1:
         raise CoverNotSeparable(
             f"extracted module for {w} is decomposable; the cover hid "
@@ -430,11 +433,8 @@ def build_all(ring: CohRing) -> ModuleFamily:
     g = ring.group
     family = ModuleFamily(ring)
     family.modules[0] = trivial_module(ring)
-    family.multiplicities[0] = {}
     for w in g.elements[1:]:
         i = w.word[-1]
         cover = extend(ring, i, family.modules[g.right_mult(w, i).idx])
-        module, mults = extract_top(ring, cover, family.modules, w)
-        family.modules[w.idx] = module
-        family.multiplicities[w.idx] = mults
+        family.modules[w.idx] = extract_top(ring, cover, family.modules, w)[0]
     return family

@@ -362,18 +362,18 @@ def test_cold_warm_and_corrupt_cache(tmp_path):
 #: it writes; a cache written by one version must reproduce a cold run of the next
 PINNED_SHA256 = {
     "A1": ("2c36909f11c58de5f4a6c8d8427ab18fb56368aa03e3f3a8514bd578154d2a97",
-           "79239910fd44206d244f8c78229ddc3c4f3795bd7fd879c1a09a6f2c6b08df06"),
+           "909cbc9bd84fa92b1189495570f78233a07b5639e4bb17d98c6cfbee7da18879"),
     "A2": ("9eaeb144c01d7bd252f7e2f57a4bf3a91bdc36ebf4f1a7bbb417e7e9d875c962",
-           "27d2df296adb9fa17aaad703d2a5402713fd9bd3e55e927766cb86751c1b40df"),
+           "aa35e0528429225fccbc950b076523f334f5ea7cffbfd90f9a81f51059ed76ea"),
     "B2": ("d067556ecac1c594d857b19d47d0dcacc45de2ea05a705205eacec96a15348b6",
-           "f7b6981fea82c255ceb411ad82423ad92c8eba8123b6536797f1d49e996c95f1"),
+           "50a98ef6fb1e26226426680322aa3fb34ca5accc72054931c31cc8a45ae86f63"),
     "G2": ("4426d788588bfd1c918146263dc2cd2d7698e924f08d3afdf1afb22d507c581e",
-           "58d4f4aec26e51ccb05ebcbfb00b55e8ade421df71b27a45579de3bf2516b21d"),
+           "df180231d9879a9ad07be028d0c2d73d43cfee8d96cb8ba53f19f94f30d1081f"),
     "A3": ("1328de2b71e7bd7433816575dfe808687f1385c11e14bc2ab6e19268d6aea454",
-           "fa54b6b9debca4c198fe1d4c1bb7e7a992e2894c5bec7b96ab5348fde9d60ea1"),
+           "c3f666f5583bbbde4bc54de6f0b58a09ea4cfd070ef212383973d36fa18f1b9d"),
     # the only pinned type whose generator matrices have denominators
     "B3": ("34865411effc66570c59995870ac26122dea59e06444e46cab579c6e67b14f07",
-           "c450bb85a5e23f28903c82ca5ce5e91b9208307f40aee65b9d8498a751deb89f"),
+           "68478b978d8d9b71545f17d807ab91ff9ca2d4a768b2033de78f31f5e1d28bc8"),
 }
 
 
@@ -431,12 +431,6 @@ def _set_degrees(degrees, gens=None):
     return change
 
 
-def _set_multiplicities(counts):
-    def change(doc):
-        doc["multiplicities"] = counts
-    return change
-
-
 def _first_hom1_map(payload):
     """The first Hom^1 map's triples, with the degrees of its source and target."""
     y, w, basis = payload["hom1"][0]
@@ -470,6 +464,13 @@ def _drop_last_relator_pair(payload):
     payload["relators"].pop()
 
 
+def _set_system(label, rank):
+    # B3 and C3 have the same element words, so only the system tells them apart
+    def mutate(payload):
+        payload["system"] = {"type": label, "rank": rank}
+    return mutate
+
+
 @pytest.mark.parametrize(
     "mutate",
     [
@@ -479,9 +480,6 @@ def _drop_last_relator_pair(payload):
         _in_module_1(_set_degrees([], gens=[[], []])),
         _in_module_1(_set_first_entry(1)),
         _in_module_1(_set_first_entry("1e5")),
-        _in_module_1(_set_multiplicities([])),
-        _in_module_1(_set_multiplicities({"e": 0})),
-        _in_module_1(_set_multiplicities({"1.1": 1})),
         _hom1_pair_out_of_range,
         _hom1_map_too_tall,
         _hom1_entry_off_degree,
@@ -490,12 +488,13 @@ def _drop_last_relator_pair(payload):
         _first_relator_term([0, "0"]),
         _first_relator_term([0, 1]),
         _drop_last_relator_pair,
+        _set_system("B", 2),
     ],
     ids=["generator-not-square", "degrees-not-shifted", "degree-not-int", "no-degrees",
-         "entry-not-string", "entry-exponent", "multiplicities-list", "multiplicity-zero",
-         "multiplicity-name-not-canonical", "hom1-pair-out-of-range",
+         "entry-not-string", "entry-exponent", "hom1-pair-out-of-range",
          "hom1-map-too-tall", "hom1-entry-off-degree", "relator-path-out-of-range", "relator-path-negative",
-         "relator-coefficient-zero", "relator-coefficient-not-string", "relator-pair-missing"],
+         "relator-coefficient-zero", "relator-coefficient-not-string", "relator-pair-missing",
+         "system-mismatch"],
 )
 def test_checksummed_cache_with_malformed_module_is_recomputed(mutate, tmp_path, capsys):
     # a cache file whose checksum holds but whose module, Hom^1 basis or
@@ -632,6 +631,8 @@ def _zeros(rows, cols):
         (_a2_doc({"from": "e", "to": "1", "k": 0, "matrix": []}), "is 0x1, expected 1x1"),
         # summed into d, but a dual gives one term: `icmod dual` twice would differ
         (_a1_doc(boundary=_a1_entry() + _a1_entry(matrix=[["2"]])), "repeats hom index 0 on pair (1, 0)"),
+        # "1.1" is e written again: a dict would keep the last stalk
+        (_a1_doc(stalks={"e": 1, "1.1": 2}), "stalk element 1.1 names e again"),
     ],
     ids=["no-stalks", "k-text", "entry-abc", "entry-1/0", "list", "system-text",
          "stalk-negative", "stalk-float", "matrix-text", "entry-exponent",
@@ -639,7 +640,7 @@ def _zeros(rows, cols):
          "first-fault-entry-not-string", "first-fault-bad-entry", "ragged",
          "stalk-huge", "stalks-past-bound",
          "zero-k-out-of-range", "k-out-of-range", "zero-non-incident", "zero-bad-shape",
-         "empty-matrix", "repeated-term"],
+         "empty-matrix", "repeated-term", "stalk-repeated"],
 )
 def test_malformed_icmodule_document_is_one_error_line(doc, fragment, tmp_path, capsys):
     file = tmp_path / "doc.json"
