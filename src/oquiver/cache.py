@@ -233,16 +233,27 @@ def _pairs(doc, size: int):
 
 
 def _hom1_from_doc(doc, family: ModuleFamily) -> Hom1:
-    """Hom^1 bases, each map dim V_w x dim V_y and of degree 1."""
+    """Hom^1 bases, each map dim V_w x dim V_y and of degree 1, and each
+    basis in the canonical form `graded_hom_basis` gives: reduced row
+    echelon over the entries (p, q) in row-major order.  That is read off
+    the pivots, without elimination: each map's first entry (p, q) is 1,
+    later maps have later pivots, and every other map is zero there."""
     hom1: Hom1 = {}
     for (y, w), maps in _pairs(doc, len(family.group)):
         source, target = family.modules[y], family.modules[w]
         if not maps:
             raise ValueError(f"Hom^1 of pair ({y}, {w}) is stored without a basis")
         basis = tuple(_sparse_from_doc(m, target.dim, source.dim) for m in maps)
+        pivots = []
         for m in basis:
             if any(target.degrees[p] != source.degrees[q] + 1 for p, q, _ in m.nonzero_items()):
                 raise ValueError(f"a Hom^1 map of pair ({y}, {w}) does not have degree 1")
+            first = next((p for p, row in enumerate(m.data) if row), None)
+            pivots.append(None if first is None else (first, min(m.data[first])))
+        if None in pivots or pivots != sorted(set(pivots)) or any(
+            m[pivot] != (k == n) for n, pivot in enumerate(pivots) for k, m in enumerate(basis)
+        ):
+            raise ValueError(f"the Hom^1 basis of pair ({y}, {w}) is not in canonical form")
         hom1[(y, w)] = basis
     return hom1
 
@@ -268,7 +279,6 @@ def store(path: Path, q: Quiver) -> None:
     payload = payload_of(q)
     envelope = {
         "artifact_version": ARTIFACT_VERSION,
-        "system": payload["system"],
         "checksum": _checksum(payload),
         "payload": payload,
     }

@@ -190,13 +190,20 @@ def check_hom0_delta(family) -> None:
 
 
 def check_hom1_symmetry(q: Quiver) -> None:
+    """Arrow counts are symmetric, and Hom^1 is solved to zero on every pair
+    that `build_quiver` skipped because its reverse was zero."""
     g = q.group
-    for y in g.elements:
-        for w in g.elements:
+    for w in g.elements:  # target-major, as in check_hom0_delta
+        for y in g.elements:
             _need(
                 q.arrow_count(y, w) == q.arrow_count(w, y),
                 f"arrow counts not symmetric at ({y}, {w})",
             )
+            if y.idx < w.idx and not q.arrow_count(w, y):
+                _need(
+                    hom_basis(q.family, y, w, 1).dim == 0,
+                    f"Hom^1(V[{y}], V[{w}]) is nonzero but its reverse is zero",
+                )
 
 
 def check_parity_vanishing(family, degrees: Iterable[int] = (0, 1, 2)) -> None:

@@ -15,7 +15,14 @@ length-2 paths is a matrix entry of dtilde^2: the (p, q) entry of the
 Stacking those rows over the path coordinates of one ordered pair and
 taking the RREF row basis gives the canonical relator basis of that pair.
 Relator spaces are only ever compared as subspaces: arrow rescaling moves
-individual coefficients but not spans.
+individual coefficients but not spans.  Every path product is C-linear,
+so its column q is a combination of sigma_v applied to its columns at the
+generators of V_y's presentation: the rows of those few columns span the
+same relator space, and only they are formed.
+
+Hom^1(V_y, V_w) and Hom^1(V_w, V_y) vanish together, since each V_w is
+self-dual (the pairings `icmod` solves, tested by `verdier-involution`),
+so a pair whose reverse was solved to zero is not solved again.
 
 The quiver keeps each datum in one form: an arrow is a (y, w, k) index
 into `hom1`, and a relator is a Row over the indices into `paths(y, w)`,
@@ -29,7 +36,7 @@ from typing import Sequence
 from .linalg import QMatrix, Row, RowSpan, canonical_basis, exact, format_rational
 from .rootsystem import WeylElement
 from .homspace import hom_basis
-from .soergel import ModuleFamily
+from .soergel import ModuleFamily, presentation
 
 # (y, j, z, i, w): first the j-th arrow y -> z, then the i-th arrow z -> w
 PathKey = tuple[int, int, int, int, int]
@@ -122,13 +129,15 @@ class Quiver:
         )
 
     def relator_span_contains_all_products(self) -> bool:
-        """Regression check: every entry of dtilde^2 reduces to 0 mod relators."""
-        for pair, rows in self.relators().items():
-            keys = self.paths(*pair)
+        """Every entry of dtilde^2, in every column, reduces to 0 mod the
+        relators, which `build_quiver` spans from the generator columns."""
+        for (y, w), rows in self.relators().items():
+            keys = self.paths(y, w)
             span = RowSpan(len(keys))
             for row in rows:
                 span.add(row)
-            if not all(span.contains(row) for row in _product_rows(self.hom1, keys)):
+            columns = range(self.family.modules[y].dim)
+            if not all(span.contains(row) for row in _product_rows(self.hom1, keys, columns)):
                 return False
         return True
 
@@ -149,34 +158,50 @@ def _length2_paths(hom1: Hom1) -> dict[tuple[int, int], list[PathKey]]:
     return out
 
 
-def _product_rows(hom1: Hom1, keys: Sequence[PathKey]) -> list[Row]:
-    """The entries of dtilde^2 on one pair: a Row over the paths `keys`
-    per nonzero matrix entry (p, q) of the path products, in (p, q) order."""
+def _product_rows(hom1: Hom1, keys: Sequence[PathKey], columns: Sequence[int]) -> list[Row]:
+    """The entries of dtilde^2 on one pair in the given source columns: a
+    Row over the paths `keys` per nonzero matrix entry (p, q) of the path
+    products with q in `columns`, in (p, q) order."""
     entries: dict[tuple[int, int], Row] = {}
     for n, (y, j, z, i, w) in enumerate(keys):
-        first = hom1[(y, z)][j].data
-        for p, row in enumerate(hom1[(z, w)][i].data):
-            acc: Row = {}
-            for k, a in row.items():
-                for q, b in first[k].items():
-                    acc[q] = acc.get(q, 0) + a * b
-            for q, value in acc.items():
+        first, second = hom1[(y, z)][j].data, hom1[(z, w)][i].data
+        for q in columns:
+            image = [(k, row[q]) for k, row in enumerate(first) if q in row]  # first arrow on e_q
+            for p, row in enumerate(second):
+                value = 0
+                for k, b in image:
+                    a = row.get(k)
+                    if a:
+                        value += a * b
                 if value:
                     entries.setdefault((p, q), {})[n] = exact(value)
     return [entries[pq] for pq in sorted(entries)]
 
 
 def build_quiver(family: ModuleFamily) -> Quiver:
-    """Solve every Hom^1 space and the relator basis of every pair."""
+    """Solve every Hom^1 space and the relator basis of every pair.
+
+    The sweep runs target-major, so each target's action columns are built
+    once and (w, y) is solved before (y, w) when y precedes w; a pair whose
+    reverse is zero is zero by self-duality and is not solved.  Relators
+    are spanned from the product columns at the source's presentation
+    generators."""
     g = family.group
-    # target-major, so each target's action columns are built once
-    solved = {
-        (y.idx, w.idx): hom_basis(family, y, w, 1).basis for w in g.elements for y in g.elements
-    }
-    hom1 = {pair: solved[pair] for pair in sorted(solved) if solved[pair]}
+    found: Hom1 = {}
+    for w in g.elements:
+        for y in g.elements:
+            if y.idx < w.idx and (w.idx, y.idx) not in found:
+                continue
+            basis = hom_basis(family, y, w, 1).basis
+            if basis:
+                found[(y.idx, w.idx)] = basis
+    hom1 = {pair: found[pair] for pair in sorted(found)}
+    modules = family.modules
     relators = {
-        pair: canonical_basis(_product_rows(hom1, keys), len(keys))
-        for pair, keys in sorted(_length2_paths(hom1).items())
+        (y, w): canonical_basis(
+            _product_rows(hom1, keys, presentation(family.ring, modules[y]).generators), len(keys)
+        )
+        for (y, w), keys in sorted(_length2_paths(hom1).items())
     }
     return Quiver(family, hom1, relators)
 

@@ -18,7 +18,8 @@ sigma_i, so x and y have degree at most 2), giving
 sigma_{s_j} . (a (x) m) = 1 (x) (x . m) + sigma_i (x) (y . m).
 
 V_w is extracted from the single-extension cover extend(i, V_{w s_i}): the
-copies of shorter V_y inside are located via degree-0 module maps, and a
+copies of shorter V_y inside are located via degree-0 module maps, solved
+only for the y the cover can contain (y s_i < y and y <= w s_i), and a
 homogeneous basis of the quotient is grown from cyclic orbits of leftover
 basis vectors.  The number of copies of each V_y is fixed by the KL mu
 (Soergel), so the family keeps only the modules.  Iterating over a whole
@@ -131,7 +132,8 @@ class Presentation:
     """Generators and relations of a graded module over the ring.
 
     The generators g_k are the unit basis vectors outside sum_i sigma_{s_i}
-    M, which generate M by Nakayama; `gen_degrees` holds their degrees.
+    M, which generate M by Nakayama; `generators` holds their basis
+    indices and `gen_degrees` their degrees.
     The orbit vectors sigma_v g_k (action columns) are kept up to one length
     past the top degree, so the first vanishing level is present: a deeper
     sigma_v is a combination of sigma_{s_i} sigma_{u'} with sigma_{u'} g_k
@@ -143,7 +145,7 @@ class Presentation:
     `orbit[j]` is (v.idx, k).
     """
 
-    __slots__ = ("gen_degrees", "orbit", "relations", "expressions")
+    __slots__ = ("generators", "gen_degrees", "orbit", "relations", "expressions")
 
     def __init__(self, ring: CohRing, module: GradedModule):
         dim = module.dim
@@ -151,7 +153,7 @@ class Presentation:
         for a in module.gens:
             for column in a.transpose().data:
                 image.add(column)
-        generators = [q for q in range(dim) if image.add({q: 1})]
+        generators = self.generators = tuple(q for q in range(dim) if image.add({q: 1}))
         self.gen_degrees = tuple(module.degrees[q] for q in generators)
 
         top = max(module.degrees)
@@ -302,10 +304,12 @@ class CoverNotSeparable(InternalConsistencyError):
     """Degree-0 maps could not cleanly locate the lower summands of a cover.
 
     Covers built from a single extension decompose into unshifted lower
-    modules, so this never fires in `build_all`.  Full word modules of
-    long elements, however, can contain grading-shifted copies of lower
-    modules; degree-0 maps into those factor through positive-degree
-    self-maps with kernels, which is exactly the dependence detected here.
+    modules, so this never fires in `build_all`, where it also guards the
+    filter that solves only for the summands a cover can have.  Full word
+    modules of long elements, however, can contain grading-shifted copies
+    of lower modules; degree-0 maps into those factor through
+    positive-degree self-maps with kernels, which is exactly the
+    dependence detected here.
     """
 
 
@@ -332,9 +336,16 @@ def extract_top(
     module: GradedModule,
     built: dict[int, GradedModule],
     w: WeylElement,
+    i: int | None = None,
 ) -> tuple[GradedModule, dict[int, int]]:
     """Peel the top summand V_w out of a module known to decompose as
     V_w plus copies of V_y for y < w.
+
+    With `i`, the module is the cover extend(i, V_{w s_i}), whose lower
+    summands are V_y with y s_i < y and y <= w s_i (Soergel, JAMS 1990: the
+    KL product C'_s C'_{w s}), so only those y are solved for.  A summand
+    missed that way would leave the quotient decomposable, which the final
+    check below refuses.
 
     Returns the quotient module (basis grown from cyclic orbits, degrees
     inherited) together with the multiplicities n(y) of the lower summands,
@@ -342,6 +353,7 @@ def extract_top(
     """
     g = ring.group
     dim = module.dim
+    below = w if i is None else g.right_mult(w, i)
 
     # Step 1: locate the span of the lower summands via degree-0 maps.
     lower_vectors: list[Row] = []
@@ -349,7 +361,9 @@ def extract_top(
     for y in g.elements:
         if y.length >= w.length or (y.length - w.length) % 2 != 0:
             continue
-        if not g.bruhat_leq(y, w):
+        if i is not None and g.right_mult(y, i).length > y.length:
+            continue
+        if not g.bruhat_leq(y, below):
             continue
         maps = hom_degree0(ring, built[y.idx], module)
         if maps:
@@ -436,5 +450,5 @@ def build_all(ring: CohRing) -> ModuleFamily:
     for w in g.elements[1:]:
         i = w.word[-1]
         cover = extend(ring, i, family.modules[g.right_mult(w, i).idx])
-        family.modules[w.idx] = extract_top(ring, cover, family.modules, w)[0]
+        family.modules[w.idx] = extract_top(ring, cover, family.modules, w, i)[0]
     return family

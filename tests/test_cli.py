@@ -16,6 +16,7 @@ from oquiver import cache, rootsystem
 from oquiver.cli import main
 from oquiver.checks import sample_reps
 from oquiver.icmod import MAX_TOTAL_DIM, icmodule_from_doc, icmodule_to_doc, verdier_dual
+from oquiver.linalg import format_rational, parse_rational
 from oquiver.quiver import to_json_doc
 from relator_space import parse_relations, verify_relator_space
 
@@ -359,21 +360,23 @@ def test_cold_warm_and_corrupt_cache(tmp_path):
 
 
 #: sha256 of the cold `quiver --format json` stdout and of the cache file
-#: it writes; a cache written by one version must reproduce a cold run of the next
+#: it writes; a cache written by one version must reproduce a cold run of the next.
+#: The file's envelope holds no copy of the payload's `system`, which only the
+#: checksummed payload keeps
 PINNED_SHA256 = {
     "A1": ("2c36909f11c58de5f4a6c8d8427ab18fb56368aa03e3f3a8514bd578154d2a97",
-           "909cbc9bd84fa92b1189495570f78233a07b5639e4bb17d98c6cfbee7da18879"),
+           "3e081edbc68739e047a1b1484deb160a48ec3b8ff930a65f3e36305f4ea6d672"),
     "A2": ("9eaeb144c01d7bd252f7e2f57a4bf3a91bdc36ebf4f1a7bbb417e7e9d875c962",
-           "aa35e0528429225fccbc950b076523f334f5ea7cffbfd90f9a81f51059ed76ea"),
+           "8fa0aa477a551f59ad298c2bc0ce3ad1891b18334820b8c6a9a54951f731195e"),
     "B2": ("d067556ecac1c594d857b19d47d0dcacc45de2ea05a705205eacec96a15348b6",
-           "50a98ef6fb1e26226426680322aa3fb34ca5accc72054931c31cc8a45ae86f63"),
+           "1220f9e110701517f3b78c5492e5d9653fbf93a5cd6c1e3e2f0e8c2f273e1449"),
     "G2": ("4426d788588bfd1c918146263dc2cd2d7698e924f08d3afdf1afb22d507c581e",
-           "df180231d9879a9ad07be028d0c2d73d43cfee8d96cb8ba53f19f94f30d1081f"),
+           "223cf505a2dd7af97b3591b470ca097481f07a9e990596eee0b97df76ab9f19f"),
     "A3": ("1328de2b71e7bd7433816575dfe808687f1385c11e14bc2ab6e19268d6aea454",
-           "c3f666f5583bbbde4bc54de6f0b58a09ea4cfd070ef212383973d36fa18f1b9d"),
+           "c258bedd4d93436f3e023528c826050ba207b4ccb974eafe8c1a994c45d57bff"),
     # the only pinned type whose generator matrices have denominators
     "B3": ("34865411effc66570c59995870ac26122dea59e06444e46cab579c6e67b14f07",
-           "68478b978d8d9b71545f17d807ab91ff9ca2d4a768b2033de78f31f5e1d28bc8"),
+           "cbd9bb2e33b319c28a417112985b0fd5cec5a40afa77424f3141a0c89d6df3c9"),
 }
 
 
@@ -453,6 +456,24 @@ def _hom1_entry_off_degree(payload):
     triples[0][0] = next(p for p, d in enumerate(target) if d != source[q] + 1)
 
 
+def _hom1_map_repeated(payload):
+    # a second copy of the first map: two arrows where Hom^1 has one
+    basis = payload["hom1"][0][2]
+    basis.append([list(triple) for triple in basis[0]])
+
+
+def _hom1_map_zero(payload):
+    # a zero map is no basis vector, yet would print as an arrow
+    payload["hom1"][0][2][0] = []
+
+
+def _hom1_map_rescaled(payload):
+    # the same arrow, but no longer the canonical basis (pivot 2, not 1)
+    triples, _, _ = _first_hom1_map(payload)
+    for triple in triples:
+        triple[2] = format_rational(2 * parse_rational(triple[2]))
+
+
 def _first_relator_term(value):
     def mutate(payload):
         rows = next(rows for _, _, rows in payload["relators"] if rows)
@@ -483,6 +504,9 @@ def _set_system(label, rank):
         _hom1_pair_out_of_range,
         _hom1_map_too_tall,
         _hom1_entry_off_degree,
+        _hom1_map_repeated,
+        _hom1_map_zero,
+        _hom1_map_rescaled,
         _first_relator_term([999, "1"]),
         _first_relator_term([-1, "1"]),
         _first_relator_term([0, "0"]),
@@ -492,7 +516,9 @@ def _set_system(label, rank):
     ],
     ids=["generator-not-square", "degrees-not-shifted", "degree-not-int", "no-degrees",
          "entry-not-string", "entry-exponent", "hom1-pair-out-of-range",
-         "hom1-map-too-tall", "hom1-entry-off-degree", "relator-path-out-of-range", "relator-path-negative",
+         "hom1-map-too-tall", "hom1-entry-off-degree", "hom1-map-repeated", "hom1-map-zero",
+         "hom1-map-rescaled",
+         "relator-path-out-of-range", "relator-path-negative",
          "relator-coefficient-zero", "relator-coefficient-not-string", "relator-pair-missing",
          "system-mismatch"],
 )
