@@ -180,7 +180,7 @@ def check_kl_mu_vs_arrows(q: Quiver) -> None:
 
 def check_hom0_delta(family) -> None:
     g = family.group
-    for w in g.elements:  # target-major, so each target's action columns are built once
+    for w in g.elements:  # target-major, so each target's orbits are formed once
         for y in g.elements:
             expected = 1 if y == w else 0
             _need(

@@ -39,6 +39,7 @@ from .linalg import (
     DimensionMismatch,
     QMatrix,
     Row,
+    exact_row,
     format_rational,
     in_span,
     parse_rational,
@@ -68,10 +69,13 @@ class ICModule:
 
     Zero stalk matrices and empty pairs are normalized away, so equality of
     the stored data is meaningful.  The zero terms are set aside, not
-    forgotten: every operation checks their shapes like those of the others.
+    forgotten: their shapes are checked like those of the others.  A module
+    is not changed after it is made, so its shapes are checked once per
+    quiver, by the first operation (or on reading a document), and
+    `_checked` holds the quiver they passed against.
     """
 
-    __slots__ = ("stalks", "boundary", "_zero_terms")
+    __slots__ = ("stalks", "boundary", "_zero_terms", "_checked")
 
     def __init__(
         self,
@@ -81,6 +85,7 @@ class ICModule:
         self.stalks = {w: int(d) for w, d in stalks.items() if d}
         self.boundary = {}
         self._zero_terms = []
+        self._checked: Quiver | None = None
         for pair, terms in boundary.items():
             kept = []
             for k, m in terms:
@@ -116,11 +121,15 @@ def _check_term(q: Quiver, stalks: dict[int, int], y: int, w: int, k: int, mat: 
 
 
 def _check_shapes(q: Quiver, m: ICModule) -> None:
+    """Every term of m, zero terms included, fits q; checked once per quiver."""
+    if m._checked is q:
+        return
     for (y, w), terms in m.boundary.items():
         for k, mat in terms:
             _check_term(q, m.stalks, y, w, k, mat)
     for (y, w), k, mat in m._zero_terms:
         _check_term(q, m.stalks, y, w, k, mat)
+    m._checked = q
 
 
 def _total_layout(q: Quiver, m: ICModule):
@@ -163,7 +172,7 @@ def assemble_differential(q: Quiver, m: ICModule) -> tuple[QMatrix, list[int]]:
                         target = rows[s]
                         for t, b in stalk_row.items():
                             target[base + t] = target.get(base + t, 0) + a * b
-    return QMatrix.from_rows(rows, total), degrees
+    return QMatrix.from_rows(map(exact_row, rows), total), degrees
 
 
 def validate(q: Quiver, m: ICModule) -> bool:
@@ -304,9 +313,12 @@ def verdier_dual(q: Quiver, m: ICModule) -> ICModule:
                         target = rows[col]
                         target[i] = target.get(i, 0) + c * a
         boundary[(y, w)] = [
-            (j, QMatrix.from_rows(rows, m.stalk_dim(y))) for j, rows in sorted(sums.items())
+            (j, QMatrix.from_rows(map(exact_row, rows), m.stalk_dim(y)))
+            for j, rows in sorted(sums.items())
         ]
-    return ICModule(dict(m.stalks), boundary)
+    dual = ICModule(dict(m.stalks), boundary)
+    dual._checked = q  # each dual term is on an incident pair, shaped by construction
+    return dual
 
 
 # -- document format ------------------------------------------------------------
@@ -422,4 +434,6 @@ def icmodule_from_doc(q: Quiver, doc: dict) -> ICModule:
             raise ShapeError(f"{where} repeats hom index {k} on pair ({y}, {w})")
         seen.add((y, w, k))
         boundary.setdefault((y, w), []).append((k, mat))
-    return ICModule(stalks, boundary)
+    module = ICModule(stalks, boundary)
+    module._checked = q  # every term was checked above
+    return module

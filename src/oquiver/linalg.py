@@ -42,6 +42,11 @@ def exact(x: int | Fraction | str) -> int | Fraction:
     return x.numerator if x.denominator == 1 else x
 
 
+def exact_row(row: Row) -> Row:
+    """A Row under the number rule: zero entries dropped, every value exact."""
+    return {j: v if type(v) is int else exact(v) for j, v in row.items() if v}
+
+
 def divide(a: int | Fraction, b: int | Fraction) -> int | Fraction:
     """a / b as an exact value: a // b when b divides a, else a Fraction."""
     if type(a) is int and type(b) is int and b and not a % b:
@@ -75,7 +80,9 @@ class QMatrix:
     `data` holds one Row per matrix row with no zero entries, so equal
     matrices have equal data.  Build from a dense literal with
     ``QMatrix([[...], ...])`` or from Rows with :meth:`from_rows`; read a
-    dense copy with :meth:`dense`.
+    dense copy with :meth:`dense`.  Arithmetic that can cancel an entry or
+    leave an integral Fraction passes its Rows through :func:`exact_row`
+    first.
     """
 
     __slots__ = ("rows", "cols", "data")
@@ -92,12 +99,10 @@ class QMatrix:
 
     @classmethod
     def from_rows(cls, rows: Iterable[Row], cols: int) -> "QMatrix":
-        """A matrix with the given Rows (int or Fraction entries); zero
-        entries are dropped and integral Fractions become ints."""
+        """A matrix holding the given Rows, which already follow the number
+        rule (no zero entry, no integral Fraction) and are not changed later."""
         m = object.__new__(cls)
-        m._set(tuple(
-            {j: v if type(v) is int else exact(v) for j, v in row.items() if v} for row in rows
-        ), cols)
+        m._set(tuple(rows), cols)
         return m
 
     def _set(self, data: tuple[Row, ...], cols: int) -> None:
@@ -110,7 +115,7 @@ class QMatrix:
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "QMatrix":
-        return cls.from_rows([{}] * rows, cols)
+        return cls.from_rows([{} for _ in range(rows)], cols)
 
     @classmethod
     def identity(cls, n: int) -> "QMatrix":
@@ -142,13 +147,13 @@ class QMatrix:
             acc = dict(ra)
             for j, b in rb.items():
                 acc[j] = acc.get(j, 0) + b
-            out.append(acc)
+            out.append(exact_row(acc))
         return QMatrix.from_rows(out, self.cols)
 
     def scale(self, c: int | Fraction) -> "QMatrix":
         c = exact(c)
         return QMatrix.from_rows(
-            ({j: c * a for j, a in row.items()} for row in self.data), self.cols
+            [exact_row({j: c * a for j, a in row.items()}) for row in self.data], self.cols
         )
 
     def __mul__(self, other: "QMatrix") -> "QMatrix":
@@ -160,16 +165,8 @@ class QMatrix:
             for k, a in row.items():
                 for j, b in other.data[k].items():
                     acc[j] = acc.get(j, 0) + a * b
-            out.append(acc)
+            out.append(exact_row(acc))
         return QMatrix.from_rows(out, other.cols)
-
-    def matvec(self, v: Row) -> Row:
-        out = {}
-        for i, row in enumerate(self.data):
-            s = sum(a * v[k] for k, a in row.items() if k in v)
-            if s:
-                out[i] = exact(s)
-        return out
 
     def transpose(self) -> "QMatrix":
         out: list[Row] = [{} for _ in range(self.cols)]
@@ -228,7 +225,7 @@ class RowSpan:
         return len(self._rows)
 
     def _vector(self, vector: Row) -> Row:
-        vec = {j: v if type(v) is int else exact(v) for j, v in vector.items() if v}
+        vec = exact_row(vector)
         if vec and not (0 <= min(vec) and max(vec) < self.ncols):
             raise DimensionMismatch("vector column outside the span width")
         return vec

@@ -181,8 +181,8 @@ def _product_rows(hom1: Hom1, keys: Sequence[PathKey], columns: Sequence[int]) -
 def build_quiver(family: ModuleFamily) -> Quiver:
     """Solve every Hom^1 space and the relator basis of every pair.
 
-    The sweep runs target-major, so each target's action columns are built
-    once and (w, y) is solved before (y, w) when y precedes w; a pair whose
+    The sweep runs target-major, so each target's orbits are formed once
+    and (w, y) is solved before (y, w) when y precedes w; a pair whose
     reverse is zero is zero by self-duality and is not solved.  Relators
     are spanned from the product columns at the source's presentation
     generators."""

@@ -12,11 +12,12 @@ where c_i(alpha) is the alpha_i coordinate of alpha; the scalar is exactly
 the pairing of the i-th fundamental coweight with alpha.  Every other class
 acts on a module through its generator expression: each degree-k class is
 a rational combination of sigma_{s_i} . sigma_{u'} with l(u') = k - 1 (a
-triangular solve over the degree-k block), and `CohRing.action_rows`
-turns generator matrices into the action of every sigma_v by that
-recursion.  C is a module over itself, so the multiplication table is the
-same function applied to the regular module, whose generator columns are
-Chevalley's rule.
+triangular solve over the degree-k block).  That recursion turns
+generator matrices into the action of every sigma_v, row by row in
+`CohRing.action_rows`, or into the orbit sigma_v e_q of one basis vector
+in `Orbits`.  C is a module over itself, so the multiplication table is
+the orbits of the regular module, whose generator columns are Chevalley's
+rule.
 
 A class is a `linalg.Row` over element indices: sigma_w has the entry 1 at
 w.idx, and coefficients follow `linalg`'s number rule.
@@ -135,22 +136,19 @@ class CohRing:
                 )
         return expressions
 
-    def action_rows(
-        self, gens: Sequence[Sequence[Row]], top: int | None = None, columns: bool = False
-    ) -> Iterator[list[Row]]:
-        """The Rows of sigma_v on a module for every v in element order, up
+    def action_rows(self, gens: Sequence[Sequence[Row]], top: int | None = None) -> Iterator[list[Row]]:
+        """The rows of sigma_v on a module for every v in element order, up
         to length `top` (all of W when None), from the rows of the generator
         matrices alone through the expressions sigma_u = sum c . sigma_{s_i}
-        . sigma_{u'}; with `columns`, `gens` holds the columns of the
-        generator matrices and the columns of sigma_v come out.
+        . sigma_{u'}.
 
         The recursion runs over the integers.  With d_c and d_g clearing the
         denominators of the expression coefficients and of the generator
         matrices, S_u = (d_c d_g)^l(u) sigma_u is integral and
         S_u = sum (d_c c) (d_g sigma_{s_i}) S_{u'}: row r of S_u sums the rows
-        of S_{u'} against row r of d_g sigma_{s_i}, and column q sums the
-        columns of d_g sigma_{s_i} against column q of S_{u'}.  S_u is divided
-        by its scale only when that scale is not 1.
+        of S_{u'} against row r of d_g sigma_{s_i}.  S_u is divided by its
+        scale only when that scale is not 1.  :class:`Orbits` runs the same
+        recursion on one basis vector at a time.
         """
         dim = len(gens[0])
         elements = [u for u in self.group.elements if top is None or u.length <= top]
@@ -164,14 +162,11 @@ class CohRing:
             acc: list[dict[int, int]] = [{} for _ in range(dim)]
             for i, up_idx, coeff in expr:
                 c = coeff.numerator * (d_coeff // coeff.denominator)
-                # vector x of c G S: sum over k of c left[x][k] right[k]
-                left, right = int_gens[i - 1], scaled[up_idx]
-                if columns:
-                    left, right = right, left
-                for vector, target in zip(left, acc):
+                # row x of c G S: sum over k of c G[x][k] S[k]
+                for vector, target in zip(int_gens[i - 1], acc):
                     for k, a in vector.items():
                         ca = c * a
-                        for j, b in right[k].items():
+                        for j, b in scaled[up_idx][k].items():
                             target[j] = target.get(j, 0) + ca * b
             # drop the entries that cancelled
             acc = [{j: v for j, v in row.items() if v} if 0 in row.values() else row for row in acc]
@@ -183,14 +178,17 @@ class CohRing:
                 yield [{j: divide(v, denominator) for j, v in row.items()} for row in acc]
 
     def _full_table(self) -> list[list[Row]]:
-        """table[u][v] = sigma_u . sigma_v: the columns of sigma_u acting on
-        C itself, whose generator columns are Chevalley's rule."""
+        """table[u][v] = sigma_v . sigma_u: the orbit of sigma_u in C itself,
+        whose generator columns are Chevalley's rule, padded with zeros."""
         if self._table is None:
-            gens = [
-                [self.chevalley_multiply(i, w) for w in self.group.elements]
+            g = self.group
+            columns = [
+                [self.chevalley_multiply(i, w) for w in g.elements]
                 for i in range(1, self.rootsystem.rank + 1)
             ]
-            self._table = list(self.action_rows(gens, columns=True))
+            orbits = Orbits(self, columns, [g.longest.length - w.length for w in g.elements])
+            n = len(g)
+            self._table = [orbits[u] + [{}] * (n - len(orbits[u])) for u in range(n)]
         return self._table
 
     def multiply_basis(self, u: WeylElement, v: WeylElement) -> Row:
@@ -244,6 +242,60 @@ class CohRing:
             else:
                 y[inv[src - m].idx] = coeff
         return x, y
+
+
+class Orbits(dict):
+    """The orbit vectors sigma_v e_q of one module, each orbit formed when it
+    is first read: `orbits[q][v]` is sigma_v e_q for the element index v,
+    and the list stops at the length `tops[q]` past which sigma_v e_q
+    vanishes (a longer v gives zero).  `columns` holds the columns of the
+    module's generator matrices.
+
+    An orbit runs the integer recursion of :meth:`CohRing.action_rows` on
+    the one vector e_q: S_u e_q = sum (d_c c) (d_g sigma_{s_i}) S_{u'} e_q,
+    with d_c taken over the expressions up to the longest top, so each
+    vector is column q of the matrix that recursion gives, entry for entry.
+    """
+
+    __slots__ = ("columns", "_tops", "_terms", "_gens", "_scales")
+
+    def __init__(self, ring: CohRing, columns: Sequence[Sequence[Row]], tops: Sequence[int]):
+        self.columns = columns
+        self._tops = tops
+        elements = [u for u in ring.group.elements if u.length <= max(tops)]
+        expressions = [ring.expressions[u.idx] for u in elements]
+        d_coeff = _common_denominator(c for expr in expressions for _, _, c in expr)
+        d_gen = _common_denominator(v for a in columns for vector in a for v in vector.values())
+        # per element: its length and terms (generator, u'.idx, d_c c)
+        self._terms = [
+            (u.length, [(i - 1, up_idx, c.numerator * (d_coeff // c.denominator)) for i, up_idx, c in expr])
+            for u, expr in zip(elements, expressions)
+        ]
+        self._gens = columns if d_gen == 1 else [_scaled(a, d_gen) for a in columns]
+        self._scales = [(d_coeff * d_gen) ** k for k in range(max(tops) + 1)]
+
+    def __missing__(self, q: int) -> list[Row]:
+        top = self._tops[q]
+        gens = self._gens
+        scaled: list[dict[int, int]] = [{q: 1}]
+        orbit: list[Row] = [{q: 1}]
+        for length, terms in self._terms[1:]:
+            if length > top:
+                break
+            acc: dict[int, int] = {}
+            for i, up_idx, c in terms:
+                gen = gens[i]
+                for k, a in scaled[up_idx].items():
+                    ca = c * a
+                    for j, b in gen[k].items():
+                        acc[j] = acc.get(j, 0) + ca * b
+            if 0 in acc.values():  # drop the entries that cancelled
+                acc = {j: v for j, v in acc.items() if v}
+            scaled.append(acc)
+            denominator = self._scales[length]
+            orbit.append(acc if denominator == 1 else {j: divide(v, denominator) for j, v in acc.items()})
+        self[q] = orbit
+        return orbit
 
 
 def _common_denominator(values: Iterable[int | Fraction]) -> int:

@@ -9,9 +9,10 @@ The building block is extension along a simple reflection,
 with basis {1 (x) b, sigma_{s_i} (x) b} (interleaved per basis vector of M)
 and degrees deg(1 (x) b) = deg b - 1, deg(sigma_i (x) b) = deg b + 1.  A
 module is stored as the action matrices of the rank generators sigma_{s_j}
-alone, since they generate the ring; every other class acts through
-`CohRing.action_rows`, the one recursion over the ring's generator
-expressions, which also gives the ring its own multiplication table.  The
+alone, since they generate the ring; every other class acts through the
+ring's generator expressions, applied to whole matrices
+(`CohRing.action_rows`) or to one basis vector (`schubert.Orbits`, which
+also gives the ring its own multiplication table).  The
 generator action on the extension is computed by splitting
 sigma_{s_j} . a = x + sigma_i y with x, y invariant under s_i (a = 1 or
 sigma_i, so x and y have degree at most 2), giving
@@ -30,9 +31,12 @@ Every Hom space is solved through a presentation of the source: a module
 map is fixed by the images of the 1-3 generators of the source, subject to
 its relations, so the unknowns are those images rather than every matrix
 entry of the degree band.  A module's presentation is built once and stays
-on the module.  The action columns of one module at a time are memoized;
-they serve a Hom target and the orbits of presentations and `extract_top`,
-so a sweep that runs target-major builds them once per target.
+on the module.  The solves read orbit vectors sigma_v e_q: the Hom
+target's in the degree pieces that hold unknowns, a presentation's at its
+generators, and `extract_top`'s at leftover vectors.  Each orbit is formed
+from the generator columns when it is first read, and only the last
+module's orbits are kept, so a sweep that solves many sources against one
+target should run target-major.
 
 Degrees are symmetric around 0: V_w lives in [-l(w), l(w)] with parity
 l(w) mod 2, and sigma_v shifts degree by +2 l(v).
@@ -45,7 +49,7 @@ from typing import Iterable, Sequence
 
 from .linalg import QMatrix, Row, RowSpan, canonical_basis, nullspace_of_rows, subtract_scaled
 from .rootsystem import WeylElement, WeylGroup
-from .schubert import CohRing, InternalConsistencyError
+from .schubert import CohRing, InternalConsistencyError, Orbits
 
 
 class GradedModule:
@@ -134,7 +138,7 @@ class Presentation:
     The generators g_k are the unit basis vectors outside sum_i sigma_{s_i}
     M, which generate M by Nakayama; `generators` holds their basis
     indices and `gen_degrees` their degrees.
-    The orbit vectors sigma_v g_k (action columns) are kept up to one length
+    The orbit vectors sigma_v g_k are kept up to one length
     past the top degree, so the first vanishing level is present: a deeper
     sigma_v is a combination of sigma_{s_i} sigma_{u'} with sigma_{u'} g_k
     already zero.
@@ -149,30 +153,35 @@ class Presentation:
 
     def __init__(self, ring: CohRing, module: GradedModule):
         dim = module.dim
-        image = RowSpan(dim)
-        for a in module.gens:
-            for column in a.transpose().data:
-                image.add(column)
-        generators = self.generators = tuple(q for q in range(dim) if image.add({q: 1}))
-        self.gen_degrees = tuple(module.degrees[q] for q in generators)
+        degrees = module.degrees
+        orbits = _orbits(ring, module)
+        # every column is homogeneous (column q of a generator lies in degree
+        # deg q + 2), so the image is spanned degree by degree
+        image = {d: RowSpan(dim) for d in set(degrees)}
+        for columns in orbits.columns:
+            for q, column in enumerate(columns):
+                if column:
+                    image[degrees[q] + 2].add(column)
+        generators = self.generators = tuple(q for q in range(dim) if image[degrees[q]].add({q: 1}))
+        self.gen_degrees = tuple(degrees[q] for q in generators)
 
-        top = max(module.degrees)
-        columns = _action_cols(ring, module)
+        top = max(degrees)
         self.orbit: list[tuple[int, int]] = []
         self.relations: list[tuple[int, Row]] = []
         span = RowSpan(dim, track=True)  # fed every orbit vector, so gen index = orbit index
         for k, q in enumerate(generators):
-            level = (top - module.degrees[q]) // 2 + 1
+            level = (top - degrees[q]) // 2 + 1
+            orbit = orbits[q]
             for v in ring.group.elements:
                 if v.length > level:
                     break
                 j = len(self.orbit)
                 self.orbit.append((v.idx, k))
-                combo = span.insert(columns[v.idx][q] if v.idx < len(columns) else {})
+                combo = span.insert(orbit[v.idx] if v.idx < len(orbit) else {})
                 if combo is not None:
                     relation = {n: -c for n, c in combo.items()}
                     relation[j] = 1
-                    self.relations.append((module.degrees[q] + 2 * v.length, relation))
+                    self.relations.append((degrees[q] + 2 * v.length, relation))
 
         self.expressions: list[Row] = []
         for q in range(dim):
@@ -190,25 +199,26 @@ def presentation(ring: CohRing, module: GradedModule) -> Presentation:
 
 
 @functools.lru_cache(maxsize=1)
-def _action_cols(ring: CohRing, module: GradedModule) -> tuple[tuple[Row, ...], ...]:
-    """The columns of sigma_v on the module for every v that can act nonzero
-    (2 l(v) at most the degree span); a longer sigma_v acts by zero.
+def _orbits(ring: CohRing, module: GradedModule) -> Orbits:
+    """The module's orbits sigma_v e_q, each formed on first read; sigma_v
+    e_q vanishes once 2 l(v) passes top degree - deg q.
 
-    Only the last module's columns are kept (both arguments hash by
+    Only the last module's orbits are kept (both arguments hash by
     identity), so sweeps that solve many sources against one target should
     run target-major.
     """
-    span = (max(module.degrees) - min(module.degrees)) // 2
+    top = max(module.degrees)
     columns = [a.transpose().data for a in module.gens]
-    return tuple(map(tuple, ring.action_rows(columns, span, columns=True)))
+    return Orbits(ring, columns, [(top - d) // 2 for d in module.degrees])
 
 
-def _act(columns: tuple[tuple[Row, ...], ...], v: int, vector: Row) -> Row:
-    """sigma_v (element index v) applied to a vector, from the action columns."""
+def _act(orbits: Orbits, v: int, vector: Row) -> Row:
+    """sigma_v (element index v) applied to a vector, from the orbits."""
     out: Row = {}
-    if v < len(columns):
-        for m, y in vector.items():
-            for p, a in columns[v][m].items():
+    for m, y in vector.items():
+        orbit = orbits[m]
+        if v < len(orbit):
+            for p, a in orbit[v].items():
                 out[p] = out.get(p, 0) + y * a
     return out
 
@@ -228,7 +238,7 @@ def graded_hom_basis(
     matrix entries in the degree band, ordered row-major.
     """
     pres = presentation(ring, source)
-    columns = _action_cols(ring, target)
+    orbits = _orbits(ring, target)
     by_degree: dict[int, list[int]] = {}
     for p, d in enumerate(target.degrees):
         by_degree.setdefault(d, []).append(p)
@@ -249,10 +259,11 @@ def graded_hom_basis(
         constraint: dict[int, Row] = {}
         for j, c in relation.items():
             v, k = pres.orbit[j]
-            if v >= len(columns):
-                continue  # sigma_v acts by zero on the target
             for m, u in unknowns[k]:
-                for p, a in columns[v][m].items():
+                orbit = orbits[m]
+                if v >= len(orbit):
+                    continue  # sigma_v e_m is zero
+                for p, a in orbit[v].items():
                     cell = constraint.setdefault(p, {})
                     cell[u] = cell.get(u, 0) + c * a
         rows.extend(constraint[p] for p in sorted(constraint))
@@ -279,7 +290,7 @@ def graded_hom_basis(
             for j, b in expression.items():
                 if j not in orbit_images:
                     v, k = pres.orbit[j]
-                    orbit_images[j] = _act(columns, v, gen_images[k])
+                    orbit_images[j] = _act(orbits, v, gen_images[k])
                 for p, a in orbit_images[j].items():
                     col[p] = col.get(p, 0) + b * a
             flat.update((index[(p, q)], a) for p, a in col.items() if a)
@@ -390,22 +401,22 @@ def extract_top(
         return module, {}
 
     # Step 2: grow a complement basis from cyclic orbits of leftover vectors;
-    # the cover's action columns are the memo's entry from the solves above.
-    columns = _action_cols(ring, module)
+    # the cover's orbits are the memo's entry from the solves above.
+    orbits = _orbits(ring, module)
     chosen: list[Row] = []
     for x_idx in range(dim):
         if span.rank == dim:
             break
         if span.contains({x_idx: 1}):
             continue
-        for action in columns:
-            vec = action[x_idx]
+        for vec in orbits[x_idx]:
             if vec and span.add(vec):
                 chosen.append(vec)
     if span.rank != dim:  # pragma: no cover - internal self-check
         raise InternalConsistencyError("orbit sweep failed to span the cover")
 
-    # Step 3: generator actions on the quotient, by solving against (chosen | lower).
+    # Step 3: generator actions on the quotient, by solving against (chosen |
+    # lower) the image of each chosen vector, summed from the generator columns.
     solver = RowSpan(dim, track=True)
     for vec in chosen + lower_vectors:
         if not solver.add(vec):  # pragma: no cover - internal self-check
@@ -420,10 +431,12 @@ def extract_top(
         degrees.append(degs.pop())
 
     gens = []
-    for mat in module.gens:
+    for columns in orbits.columns:
         rows: list[Row] = [{} for _ in range(new_dim)]
         for j, cvec in enumerate(chosen):
-            image = mat.matvec(cvec)
+            image: Row = {}
+            for k, a in cvec.items():
+                subtract_scaled(image, -a, columns[k])
             combo = solver.coefficients(image)
             if combo is None:  # pragma: no cover - internal self-check
                 raise InternalConsistencyError("image escaped the cover")

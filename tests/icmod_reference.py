@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from oquiver import icmod
 from oquiver.icmod import ICModule
-from oquiver.linalg import QMatrix, Row, RowSpan, in_span
+from oquiver.linalg import QMatrix, Row, RowSpan, exact_row, in_span
 from oquiver.quiver import Quiver
 
 
@@ -26,7 +26,7 @@ def kron(a: QMatrix, b: QMatrix) -> QMatrix:
     w = b.cols
     return QMatrix.from_rows(
         (
-            {k * w + u: x * y for k, x in row.items() for u, y in brow.items()}
+            exact_row({k * w + u: x * y for k, x in row.items() for u, y in brow.items()})
             for row in a.data
             for brow in b.data
         ),

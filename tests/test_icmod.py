@@ -233,6 +233,45 @@ def test_zero_term_shapes_are_checked(a2q, operation):
     operation(a2q, fine)
 
 
+def test_each_term_shape_is_checked_once(a2q, monkeypatch):
+    # a document's terms are checked on reading, a module built in code by
+    # its first operation; later operations, and the duals they write, do
+    # not check again.  A module that fails is refused by every operation
+    checked = []
+    check_term = icmod._check_term
+
+    def counting(q, stalks, y, w, k, mat):
+        checked.append((y, w, k))
+        check_term(q, stalks, y, w, k, mat)
+
+    def every_operation(m):
+        if validate(a2q, m):
+            total_cohomology(a2q, m)
+        icmod.assemble_differential(a2q, m)
+        dual = verdier_dual(a2q, m)
+        validate(a2q, dual)
+        verdier_dual(a2q, dual)
+
+    monkeypatch.setattr(icmod, "_check_term", counting)
+    for m in sample_reps(a2q, 9, 12):
+        terms = sum(len(t) for t in m.boundary.values())
+        checked.clear()
+        every_operation(icmodule_from_doc(a2q, icmodule_to_doc(a2q, m)))
+        assert len(checked) == terms
+        checked.clear()
+        every_operation(ICModule(m.stalks, m.boundary))
+        assert len(checked) == terms
+    g = a2q.group
+    e, s1 = g.identity.idx, g.simple(1).idx
+    checked.clear()
+    every_operation(ICModule({e: 1, s1: 1}, {(e, s1): [(0, QMatrix([[0]]))]}))
+    assert checked == [(e, s1, 0)]
+    bad = ICModule({e: 2, s1: 1}, {(e, s1): [(0, QMatrix([[0]]))]})
+    for operation in (validate, total_cohomology, verdier_dual, icmod.assemble_differential) * 2:
+        with pytest.raises(ShapeError, match="expected 1x2"):
+            operation(a2q, bad)
+
+
 def test_document_round_trip(a2q):
     rng = random.Random(9)
     for m in sample_reps(a2q, 9, 12):

@@ -5,9 +5,10 @@ import gc
 import pytest
 
 from commutant import commutant_hom_basis
-from oquiver import homspace, icmod, soergel
+from oquiver import homspace, icmod, schubert, soergel
 from oquiver.cache import load_pipeline
 from oquiver.icmod import ICModule, _dual_module, verdier_dual
+from oquiver.linalg import RowSpan
 from oquiver.quiver import to_json_doc
 from oquiver.rootsystem import build, generate_weyl
 from oquiver.schubert import build_ring
@@ -106,6 +107,21 @@ def test_a3_generator_counts(families):
     assert counts == {1: 22, 2: 2}
 
 
+@pytest.mark.parametrize("name", ["A2", "B2", "G2", "A3", "B3"])
+def test_generators_match_one_span_over_all_degrees(families, name):
+    # the generators are searched degree by degree; one span over every
+    # degree, fed every generator column, must give the same indices
+    fam = families[name] if name in families else build_all(build_ring(generate_weyl(build(name))))
+    for w in fam.group:
+        module = fam[w]
+        image = RowSpan(module.dim)
+        for a in module.gens:
+            for column in a.transpose().data:
+                image.add(column)
+        expected = tuple(q for q in range(module.dim) if image.add({q: 1}))
+        assert presentation(fam.ring, module).generators == expected
+
+
 def test_each_presentation_is_built_once(monkeypatch):
     # presentations stay on their module, so the A3 pipeline, its quiver and
     # its duality pairings build each of the 24 exactly once
@@ -120,6 +136,25 @@ def test_each_presentation_is_built_once(monkeypatch):
     q = load_pipeline("A3", no_cache=True).quiver
     verdier_dual(q, ICModule({}, {}))
     assert len(built) == 24
+
+
+def test_cold_build_forms_only_the_orbits_it_reads(monkeypatch):
+    # each orbit sigma_v e_q is formed when a solve first reads it.  Forming
+    # every column of every sigma_v for each target and cover instead gave
+    # 11233 column vectors with 4548 nonzero entries on this build
+    counts = {"vectors": 0, "entries": 0}
+    form = schubert.Orbits.__missing__
+
+    def counting(self, q):
+        orbit = form(self, q)
+        counts["vectors"] += len(orbit)
+        counts["entries"] += sum(map(len, orbit))
+        return orbit
+
+    monkeypatch.setattr(schubert.Orbits, "__missing__", counting)
+    load_pipeline("A3", no_cache=True)
+    assert counts == {"vectors": 3008, "entries": 2522}
+    assert counts["vectors"] < 11233 and counts["entries"] < 4548
 
 
 def test_warm_pipeline_solves_nothing(tmp_path, monkeypatch):
@@ -150,9 +185,9 @@ def test_warm_pipeline_solves_nothing(tmp_path, monkeypatch):
 
 
 def test_hom_solve_leaves_no_reference_cycle():
-    # neither the presentation kept on the module nor the memoized action
-    # columns may point back at the module, or every temporary cover would
-    # outlive its stage until a collection
+    # neither the presentation kept on the module nor the memoized orbits
+    # may point back at the module, or every temporary cover would outlive
+    # its stage until a collection
     g = generate_weyl(build("A2"))
     ring = build_ring(g)
     other = trivial_module(ring)
@@ -161,6 +196,6 @@ def test_hom_solve_leaves_no_reference_cycle():
     m = word_module(ring, [1, 2, 1])
     assert graded_hom_basis(ring, m, m, 0)
     assert m._presentation is not None
-    graded_hom_basis(ring, other, other, 0)  # the column memo lets go of m
+    graded_hom_basis(ring, other, other, 0)  # the orbit memo lets go of m
     del m
     assert gc.collect() == 0

@@ -9,7 +9,7 @@ from oquiver.linalg import QMatrix, rank
 from oquiver.rootsystem import build, generate_weyl
 from oquiver.schubert import build_ring
 from oquiver.soergel import (
-    _action_cols,
+    _orbits,
     build_all,
     class_matrix,
     derived_actions,
@@ -61,13 +61,25 @@ def assert_extend_matches_reference(ring, i, module):
     assert cover.degrees == tuple(d + e for d in module.degrees for e in (-1, 1))
 
 
-def assert_action_cols_are_transposed_actions(ring, module):
-    columns = _action_cols(ring, module)
-    for v, action in enumerate(derived_actions(ring, module.gens)):
-        if v < len(columns):
-            assert columns[v] == action.transpose().data
-        else:  # longer than the degree span: the memo omits it
-            assert action.is_zero()
+def assert_orbits_are_columns_of_derived_actions(ring, module):
+    # every orbit sigma_v e_q, formed on its own, is column q of sigma_v entry
+    # for entry; past the end of the orbit the column is zero
+    orbits = _orbits(ring, module)
+    columns = [action.transpose().data for action in derived_actions(ring, module.gens)]
+    for q in range(module.dim):
+        orbit = orbits[q]
+        assert orbit == [col[q] for col in columns[: len(orbit)]]
+        assert all(not col[q] for col in columns[len(orbit):])
+    assert orbits.columns == [a.transpose().data for a in module.gens]
+
+
+def modules_and_covers(g, ring, fam):
+    """Every V_w and its single-extension cover extend(i, V_{w s_i})."""
+    for w in g:
+        yield fam[w]
+        if w.length:
+            i = w.word[-1]
+            yield extend(ring, i, fam[g.right_mult(w, i)])
 
 
 def family_of(name):
@@ -382,16 +394,19 @@ def test_extend_matches_kron_construction_on_word_modules(name):
 
 def test_action_cols_are_transposed_derived_actions(named_family):
     g, ring, fam = named_family
-    for w in g:
-        assert_action_cols_are_transposed_actions(ring, fam[w])
+    for module in modules_and_covers(g, ring, fam):
+        assert_orbits_are_columns_of_derived_actions(ring, module)
 
 
 def test_action_cols_divide_when_generators_have_denominators():
+    # three B3 modules (no cover) have generator entries with a denominator,
+    # so their orbits take the division step; every other one runs too
     g, ring, fam = family_of("B3")
+    modules = list(modules_and_covers(g, ring, fam))
     fractional = [
-        w for w in g
-        if any(type(v) is Fraction for a in fam[w].gens for row in a.data for v in row.values())
+        m for m in modules
+        if any(type(v) is Fraction for a in m.gens for row in a.data for v in row.values())
     ]
     assert len(fractional) == 3
-    for w in fractional:
-        assert_action_cols_are_transposed_actions(ring, fam[w])
+    for module in modules:
+        assert_orbits_are_columns_of_derived_actions(ring, module)
