@@ -287,42 +287,49 @@ class WeylGroup:
     # -- generation -------------------------------------------------------
 
     def _generate(self) -> None:
-        rs = self.rootsystem
-        n = rs.rank
-        gens = [rs.simple_reflection_matrix(i) for i in range(n)]
-        identity = tuple(tuple(1 if r == c else 0 for c in range(n)) for r in range(n))
+        """BFS by length layers, each product formed once: the right
+        products `m s_i` of every element feed the BFS and the right table,
+        the left products `s_i m` the reduced words and the left table.
+        `m s_i` subtracts column i of `m` times row i of the Cartan matrix,
+        and `s_i m` changes only row i of `m`."""
+        cartan = self.rootsystem.cartan
+        n = len(cartan)
+        bonds = [[(k, c) for k, c in enumerate(row) if c] for row in cartan]
+        identity = tuple(tuple(int(r == c) for c in range(n)) for r in range(n))
 
-        def matmul(a: ActionMatrix, b: ActionMatrix) -> ActionMatrix:
-            return tuple(
-                tuple(sum(a[r][k] * b[k][c] for k in range(n)) for c in range(n))
-                for r in range(n)
-            )
+        def right_products(m: ActionMatrix) -> list[ActionMatrix]:
+            return [
+                tuple(tuple(x - r[i] * c for x, c in zip(r, cartan[i])) if r[i] else r for r in m)
+                for i in range(n)
+            ]
 
-        # BFS by length layers, right multiplication.
+        def left_products(m: ActionMatrix) -> list[ActionMatrix]:
+            return [
+                m[:i] + (tuple(m[i][c] - sum(a * m[k][c] for k, a in bonds[i]) for c in range(n)),) + m[i + 1 :]
+                for i in range(n)
+            ]
+
         layer_of: dict[ActionMatrix, int] = {identity: 0}
+        right: dict[ActionMatrix, list[ActionMatrix]] = {}
         layers: list[list[ActionMatrix]] = [[identity]]
         while layers[-1]:
             nxt = []
             for m in layers[-1]:
-                for i in range(n):
-                    # right ascent: w(alpha_i) > 0, i.e. column i nonnegative
-                    if all(m[r][i] >= 0 for r in range(n)):
-                        prod = matmul(m, gens[i])
-                        if prod not in layer_of:
-                            layer_of[prod] = len(layers)
-                            nxt.append(prod)
+                right[m] = products = right_products(m)
+                for prod in products:  # a descent's product lies in an earlier layer
+                    if prod not in layer_of:
+                        layer_of[prod] = len(layers)
+                        nxt.append(prod)
             layers.append(nxt)
         layers.pop()
 
         # Lex-least reduced words by greedy smallest left descent.
+        left = {m: left_products(m) for m in layer_of}
         words: dict[ActionMatrix, tuple[int, ...]] = {identity: ()}
         for length in range(1, len(layers)):
             for m in layers[length]:
-                for i in range(n):
-                    prev = matmul(gens[i], m)
-                    if layer_of[prev] == length - 1:
-                        words[m] = (i + 1,) + words[prev]
-                        break
+                i = next(i for i, prev in enumerate(left[m]) if layer_of[prev] == length - 1)
+                words[m] = (i + 1,) + words[left[m][i]]
 
         ordered = sorted(layer_of, key=lambda m: (layer_of[m], words[m]))
         self.elements: list[WeylElement] = [
@@ -331,16 +338,10 @@ class WeylGroup:
         self.index: dict[ActionMatrix, int] = {m: k for k, m in enumerate(ordered)}
         #: canonical element name -> element, the names `str(w)` writes
         self.by_name: dict[str, WeylElement] = {w.name: w for w in self.elements}
-        self.generators: list[WeylElement] = [
-            self.elements[self.index[g]] for g in gens
-        ]
-
-        self._right: list[list[int]] = [
-            [self.index[matmul(w.action, gens[i])] for i in range(n)] for w in self.elements
-        ]
-        self._left: list[list[int]] = [
-            [self.index[matmul(gens[i], w.action)] for i in range(n)] for w in self.elements
-        ]
+        index = self.index
+        self._right: list[list[int]] = [[index[p] for p in right[m]] for m in ordered]
+        self._left: list[list[int]] = [[index[p] for p in left[m]] for m in ordered]
+        self.generators: list[WeylElement] = [self.elements[k] for k in self._right[0]]
 
     # -- basic queries ----------------------------------------------------
 

@@ -325,18 +325,23 @@ class CoverNotSeparable(InternalConsistencyError):
 
 
 class ModuleFamily:
-    """All V_w for one root system, keyed by element, built in length order."""
+    """All V_w for one root system, keyed by element, built in length order.
+    A family restored from the cache has no ring until a solve first reads
+    `ring`, so a run that only prints the quiver never builds one."""
 
-    def __init__(self, ring: CohRing):
-        self.ring = ring
+    def __init__(self, group: WeylGroup, ring: CohRing | None = None):
+        self.group = group
+        self._ring = ring
         self.modules: dict[int, GradedModule] = {}
 
     def __getitem__(self, w: WeylElement) -> GradedModule:
         return self.modules[w.idx]
 
     @property
-    def group(self) -> WeylGroup:
-        return self.ring.group
+    def ring(self) -> CohRing:
+        if self._ring is None:
+            self._ring = CohRing(self.group)
+        return self._ring
 
     def graded_dims(self, w: WeylElement) -> dict[int, int]:
         return self.modules[w.idx].graded_dims()
@@ -458,7 +463,7 @@ def build_all(ring: CohRing) -> ModuleFamily:
     """V_w for every w, ascending length, each extracted from the cover
     extend(i, V_{w s_i}) with i the last letter of the canonical reduced word."""
     g = ring.group
-    family = ModuleFamily(ring)
+    family = ModuleFamily(g, ring)
     family.modules[0] = trivial_module(ring)
     for w in g.elements[1:]:
         i = w.word[-1]

@@ -1,5 +1,6 @@
 import contextlib
 import functools
+import gc
 import hashlib
 import io
 import json
@@ -12,12 +13,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oquiver import cache, rootsystem
+from oquiver import cache, homspace, rootsystem, schubert
 from oquiver.cli import main
 from oquiver.checks import sample_reps
 from oquiver.icmod import MAX_TOTAL_DIM, icmodule_from_doc, icmodule_to_doc, verdier_dual
-from oquiver.linalg import format_rational, parse_rational
-from oquiver.quiver import to_json_doc
+from oquiver.linalg import exact, format_rational, parse_rational
+from oquiver.quiver import to_json_doc, to_text
 from relator_space import parse_relations, verify_relator_space
 
 
@@ -342,12 +343,13 @@ def test_cold_warm_and_corrupt_cache(tmp_path):
         assert again.stdout == cold.stdout
 
     # a version-3 document (modules with "provenance"), checksum intact, at
-    # the current path is stale: recomputed and replaced by the current document
+    # the current path is stale: recomputed and replaced by the current document.
+    # Versions up to 6 hashed the payload's sorted compact dump
     payload = json.loads(original)["payload"]
     for doc in payload["modules"].values():
         doc["provenance"] = "V[w] from extend(i, V[w s_i]) / lower terms"
-    stale = {"artifact_version": 3, "system": payload["system"],
-             "checksum": cache._checksum(payload), "payload": payload}
+    checksum = hashlib.sha256(json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
+    stale = {"artifact_version": 3, "system": payload["system"], "checksum": checksum, "payload": payload}
     cache_file.write_text(json.dumps(stale))
     again = run_proc(*args, env=env)
     assert again.returncode == 0
@@ -361,22 +363,22 @@ def test_cold_warm_and_corrupt_cache(tmp_path):
 
 #: sha256 of the cold `quiver --format json` stdout and of the cache file
 #: it writes; a cache written by one version must reproduce a cold run of the next.
-#: The file's envelope holds no copy of the payload's `system`, which only the
-#: checksummed payload keeps
+#: The file is the artifact-v7 header, the compact payload with integral
+#: entries as JSON numbers, and "}"
 PINNED_SHA256 = {
     "A1": ("2c36909f11c58de5f4a6c8d8427ab18fb56368aa03e3f3a8514bd578154d2a97",
-           "3e081edbc68739e047a1b1484deb160a48ec3b8ff930a65f3e36305f4ea6d672"),
+           "483c4f3afbc39bd01e42c9d8b4013b1c3ceea0baa5d6139f39160bf3442bc0ed"),
     "A2": ("9eaeb144c01d7bd252f7e2f57a4bf3a91bdc36ebf4f1a7bbb417e7e9d875c962",
-           "8fa0aa477a551f59ad298c2bc0ce3ad1891b18334820b8c6a9a54951f731195e"),
+           "5f15489ba8ea0aceb41891198c20a2507db94ec845ad6f8fa67f962617b1c402"),
     "B2": ("d067556ecac1c594d857b19d47d0dcacc45de2ea05a705205eacec96a15348b6",
-           "1220f9e110701517f3b78c5492e5d9653fbf93a5cd6c1e3e2f0e8c2f273e1449"),
+           "2d994a07b5840031db9d6f9ddf4a924c58e49d2d6d5e802f4fade2bdae6a58e0"),
     "G2": ("4426d788588bfd1c918146263dc2cd2d7698e924f08d3afdf1afb22d507c581e",
-           "223cf505a2dd7af97b3591b470ca097481f07a9e990596eee0b97df76ab9f19f"),
+           "1c50a14e9293116ba247b99baef02cfeb9e66d31af48693f9198398ddabbd76b"),
     "A3": ("1328de2b71e7bd7433816575dfe808687f1385c11e14bc2ab6e19268d6aea454",
-           "c258bedd4d93436f3e023528c826050ba207b4ccb974eafe8c1a994c45d57bff"),
+           "4883c3e41351a9f7be5e3688d4af141dc369eec058298f2a1be7a3ee1a286f62"),
     # the only pinned type whose generator matrices have denominators
     "B3": ("34865411effc66570c59995870ac26122dea59e06444e46cab579c6e67b14f07",
-           "cbd9bb2e33b319c28a417112985b0fd5cec5a40afa77424f3141a0c89d6df3c9"),
+           "1385eacf7130ad8be873329a6b689ac6838ee6e18b4518655bbae4fd82c71736"),
 }
 
 
@@ -471,7 +473,8 @@ def _hom1_map_rescaled(payload):
     # the same arrow, but no longer the canonical basis (pivot 2, not 1)
     triples, _, _ = _first_hom1_map(payload)
     for triple in triples:
-        triple[2] = format_rational(2 * parse_rational(triple[2]))
+        value = exact(2 * parse_rational(str(triple[2])))
+        triple[2] = value if type(value) is int else format_rational(value)
 
 
 def _first_relator_term(value):
@@ -499,7 +502,8 @@ def _set_system(label, rank):
         _in_module_1(_set_degrees([0, 0])),
         _in_module_1(_set_degrees(["a", 1])),
         _in_module_1(_set_degrees([], gens=[[], []])),
-        _in_module_1(_set_first_entry(1)),
+        _in_module_1(_set_first_entry("1")),
+        _in_module_1(_set_first_entry(True)),
         _in_module_1(_set_first_entry("1e5")),
         _hom1_pair_out_of_range,
         _hom1_map_too_tall,
@@ -509,17 +513,17 @@ def _set_system(label, rank):
         _hom1_map_rescaled,
         _first_relator_term([999, "1"]),
         _first_relator_term([-1, "1"]),
-        _first_relator_term([0, "0"]),
-        _first_relator_term([0, 1]),
+        _first_relator_term([0, 0]),
+        _first_relator_term([0, 1.0]),
         _drop_last_relator_pair,
         _set_system("B", 2),
     ],
     ids=["generator-not-square", "degrees-not-shifted", "degree-not-int", "no-degrees",
-         "entry-not-string", "entry-exponent", "hom1-pair-out-of-range",
+         "entry-integral-string", "entry-bool", "entry-exponent", "hom1-pair-out-of-range",
          "hom1-map-too-tall", "hom1-entry-off-degree", "hom1-map-repeated", "hom1-map-zero",
          "hom1-map-rescaled",
          "relator-path-out-of-range", "relator-path-negative",
-         "relator-coefficient-zero", "relator-coefficient-not-string", "relator-pair-missing",
+         "relator-coefficient-zero", "relator-coefficient-1.0", "relator-pair-missing",
          "system-mismatch"],
 )
 def test_checksummed_cache_with_malformed_module_is_recomputed(mutate, tmp_path, capsys):
@@ -530,13 +534,17 @@ def test_checksummed_cache_with_malformed_module_is_recomputed(mutate, tmp_path,
     code, cold, _ = run_cli(*args, capsys=capsys)
     assert code == 0
     path = cache.cache_file(tmp_path, "A2")
-    envelope = json.loads(path.read_text())
-    mutate(envelope["payload"])
-    envelope["checksum"] = cache._checksum(envelope["payload"])
-    path.write_text(json.dumps(envelope))
+    payload = json.loads(path.read_bytes())["payload"]
+    mutate(payload)
+    path.write_bytes(cache.encode_file(payload))
+    # the forged file passes its checksum, so only `restore` can refuse it
+    group = rootsystem.generate_weyl(rootsystem.build("A2"))
+    with pytest.raises((KeyError, ValueError, IndexError, TypeError, ZeroDivisionError)):
+        cache.restore(group, json.loads(path.read_bytes())["payload"])
     code, out, err = run_cli(*args, capsys=capsys)
     assert code == 0
-    assert f"cache {path.name} malformed (" in err and "recomputing" in err
+    assert err.startswith(f"warning: cache {path.name} malformed (") and err.endswith("; recomputing\n")
+    assert err.count("\n") == 1
     assert out == cold
 
 
@@ -555,6 +563,71 @@ def test_store_writes_through_a_private_temporary_file(tmp_path):
     assert [m.gens for m in restored.family.modules.values()] == [
         m.gens for m in pipeline.family.modules.values()
     ]
+
+
+def test_cache_file_in_another_layout_is_one_warning_line(tmp_path, capsys):
+    # the single-dump envelope of artifact v6 and earlier, at the current path:
+    # a stale version is named, and the current version in that layout is
+    # refused as not stored by this writer; both are recomputed and replaced
+    args = ("quiver", "--type", "A2", "--format", "json", "--cache-dir", str(tmp_path))
+    code, cold, _ = run_cli(*args, capsys=capsys)
+    assert code == 0
+    path = cache.cache_file(tmp_path, "A2")
+    original = path.read_bytes()
+    envelope = json.loads(original)
+    for version, reason in ((6, "has version 6"), (cache.ARTIFACT_VERSION, "malformed (not in the stored layout)")):
+        envelope["artifact_version"] = version
+        path.write_text(json.dumps(envelope))
+        code, out, err = run_cli(*args, capsys=capsys)
+        assert (code, out, err) == (0, cold, f"warning: cache {path.name} {reason}; recomputing\n")
+        assert path.read_bytes() == original
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+@pytest.mark.parametrize("refused", [False, True], ids=["hit", "refused"])
+def test_load_leaves_the_collector_as_it_found_it(enabled, refused, tmp_path):
+    group = cache.load_pipeline("A1", cache_dir=tmp_path).group
+    path = cache.cache_file(tmp_path, "A1")
+    if refused:  # passes its checksum, refused by `restore`
+        payload = json.loads(path.read_bytes())["payload"]
+        payload["system"] = {"type": "B", "rank": 2}
+        path.write_bytes(cache.encode_file(payload))
+    was_enabled = gc.isenabled()
+    warnings = []
+    try:
+        gc.enable() if enabled else gc.disable()
+        q = cache.load(path, group, warnings.append)
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable() if was_enabled else gc.disable()
+    assert (q is None, len(warnings)) == (refused, int(refused))
+
+
+def test_warm_quiver_builds_no_ring_until_a_solve_reads_it(tmp_path, monkeypatch):
+    cache.load_pipeline("A2", cache_dir=tmp_path)
+    built = []
+    init = schubert.CohRing.__init__
+
+    def counted_init(ring, group):
+        built.append(ring)
+        init(ring, group)
+
+    monkeypatch.setattr(schubert.CohRing, "__init__", counted_init)
+    pipeline = cache.load_pipeline("A2", cache_dir=tmp_path, warn=pytest.fail)
+    to_json_doc(pipeline.quiver)
+    to_text(pipeline.quiver)
+    assert built == []
+
+    # built once, on first read, and the ring every later solve is given
+    ring = pipeline.family.ring
+    assert built == [ring] and pipeline.ring is ring and pipeline.family.ring is ring
+    rings = []
+    solve = homspace.graded_hom_basis
+    monkeypatch.setattr(homspace, "graded_hom_basis", lambda r, *args: rings.append(r) or solve(r, *args))
+    g = pipeline.group
+    assert homspace.hom_basis(pipeline.family, g.identity, g.simple(1), 1).dim == 1
+    cache.module_doc(pipeline, g.longest)
+    assert rings == [ring] and built == [ring]
 
 
 def test_unwritable_cache_dir_is_domain_error(tmp_path, capsys):
@@ -882,6 +955,18 @@ json_documents = st.recursive(
 @settings(max_examples=300, deadline=None)
 @given(json_documents)
 def test_indented_json_is_json_dumps_indent_2(doc):
+    assert cache.indented_json(doc) == json.dumps(doc, indent=2)
+
+
+@pytest.mark.parametrize("doc", [
+    {}, [], (), {"a": {}}, [[], {}],
+    [1, 12, 3, 0, 24], ["e", "1.2", "σ"], {"id": 3, "word": "1.2", "length": 2}, {"k": -(10**40), "s": "\n"},
+    [1, "x", True, None], {"path": [1, 2], "coeff": "-1/2"}, [{"a": 1}, [2, "3"], [], "4", 5, False],
+    (1, (2, 3), [4, {}]),
+], ids=["empty-dict", "empty-list", "empty-tuple", "empty-nested", "empties",
+        "leaf-ints", "leaf-strings", "leaf-dict", "leaf-dict-escapes",
+        "bool-and-none", "mixed-dict", "mixed-list", "tuples"])
+def test_indented_json_containers_are_json_dumps_indent_2(doc):
     assert cache.indented_json(doc) == json.dumps(doc, indent=2)
 
 

@@ -201,3 +201,50 @@ def test_inner_products_g2():
     assert rs.inner(a2, a2) == 6
     assert rs.inner(a1, a2) == -3
     assert rs.inner((3, 2), (3, 2)) == 6  # long root
+
+
+def _matrix_product_tables(rs):
+    """Element order, words and right/left tables straight from the
+    definition: BFS over full n x n products by the simple reflections,
+    each word the lex-least reduced word by greedy smallest left descent."""
+    n = rs.rank
+    gens = [rs.simple_reflection_matrix(i) for i in range(n)]
+
+    def matmul(a, b):
+        return tuple(tuple(sum(a[r][k] * b[k][c] for k in range(n)) for c in range(n)) for r in range(n))
+
+    identity = tuple(tuple(int(r == c) for c in range(n)) for r in range(n))
+    length = {identity: 0}
+    frontier = [identity]
+    while frontier:
+        nxt = []
+        for m in frontier:
+            for s in gens:
+                prod = matmul(m, s)
+                if prod not in length:
+                    length[prod] = length[m] + 1
+                    nxt.append(prod)
+        frontier = nxt
+    words = {identity: ()}
+    for m in sorted(length, key=length.get)[1:]:
+        i = next(i for i in range(n) if length[matmul(gens[i], m)] == length[m] - 1)
+        words[m] = (i + 1,) + words[matmul(gens[i], m)]
+    order = sorted(length, key=lambda m: (length[m], words[m]))
+    index = {m: k for k, m in enumerate(order)}
+    right = [[index[matmul(m, s)] for s in gens] for m in order]
+    left = [[index[matmul(s, m)] for s in gens] for m in order]
+    return order, [words[m] for m in order], right, left
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "C3", "D4", "G2", "F4"])
+def test_weyl_tables_are_the_matrix_products(name):
+    # the group forms each product by a one-row or rank-one change of the
+    # action matrix; every type with |W| <= 1152
+    rs = build(name)
+    g = generate_weyl(rs)
+    order, words, right, left = _matrix_product_tables(rs)
+    assert [w.action for w in g.elements] == order
+    assert [w.word for w in g.elements] == words
+    assert [w.length for w in g.elements] == [len(word) for word in words]
+    assert g._right == right and g._left == left
+    assert [s.action for s in g.generators] == [rs.simple_reflection_matrix(i) for i in range(rs.rank)]
