@@ -18,12 +18,16 @@ rationals stay exact (B3 modules have denominators).
 Cache files are content-addressed by (type, rank, artifact version) in
 the file name (`<type><rank>-v<version>.json`) and written atomically
 through a unique temporary file.  A file is the header
-`{"artifact_version":7,"checksum":"<sha256>","payload":`, the compact
-payload whose bytes the checksum hashes, and `}`: a load hashes the stored
-bytes and parses them once.  A stale version, a payload for another root
-system, or a malformed or corrupted file is reported and silently
-recomputed; rationals restore exactly, so a warm run reproduces a cold run
-byte for byte.
+`{"artifact_version":8,"checksum":"<crc32>","payload":`, the compact
+payload, and `}`: a load checks the CRC-32 of the stored payload bytes,
+8 lowercase hex digits, and parses them once.  The checksum only has to
+catch accidental damage: CRC-32 catches every burst of up to 32 bits and
+misses other damage with probability 2^-32, no unkeyed hash would stop a
+deliberate edit, and `restore` checks every shape, range, degree and
+canonical form anyway.  A stale version (read off the file's first bytes),
+a payload for another root system, or a malformed or corrupted file is
+reported and silently recomputed; rationals restore exactly, so a warm run
+reproduces a cold run byte for byte.
 
 The JSON the tool reads (IC-module documents) goes through `read_json`,
 and the indented documents it prints through `indented_json`.
@@ -31,11 +35,12 @@ and the indented documents it prints through `indented_json`.
 
 from __future__ import annotations
 
+import binascii
 import contextlib
 import gc
-import hashlib
 import json
 import os
+import re
 import tempfile
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
@@ -48,13 +53,17 @@ from .rootsystem import WeylElement, WeylGroup, build, generate_weyl, parse_type
 from .schubert import CohRing
 from .soergel import GradedModule, ModuleFamily, build_all, derived_actions
 
-ARTIFACT_VERSION = 7
+ARTIFACT_VERSION = 8
 
-#: a stored file is _HEAD, the 64 hex digits of the payload's sha256,
+#: a stored file is _HEAD, the 8 hex digits of the payload's CRC-32,
 #: _PAYLOAD_KEY, the payload and "}"
 _HEAD = b'{"artifact_version":%d,"checksum":"' % ARTIFACT_VERSION
 _PAYLOAD_KEY = b'","payload":'
-_PAYLOAD_START = len(_HEAD) + 64 + len(_PAYLOAD_KEY)
+_PAYLOAD_START = len(_HEAD) + 8 + len(_PAYLOAD_KEY)
+
+#: the version a file names first, compact or spaced as `json.dumps` writes
+#: it; compiled on the first refusal, not by every import
+_VERSION_HEAD = rb'\{"artifact_version": ?(-?(?:0|[1-9][0-9]{0,17}))[,}]'
 
 ENV_CACHE_DIR = "OQUIVER_CACHE"
 
@@ -137,11 +146,16 @@ def cache_file(cache_dir: Path, name: str) -> Path:
     return cache_dir / f"{name.lower()}-v{ARTIFACT_VERSION}.json"
 
 
+def _checksum(body: bytes) -> bytes:
+    """The CRC-32 of a stored payload's bytes, as 8 lowercase hex digits."""
+    return b"%08x" % binascii.crc32(body)
+
+
 def encode_file(payload: dict) -> bytes:
     """A cache file's bytes: the payload serialized once, compact and in
-    the order `payload_of` builds it, behind a header holding its sha256."""
+    the order `payload_of` builds it, behind a header holding its CRC-32."""
     body = json.dumps(payload, separators=(",", ":")).encode()
-    return b"%s%s%s%s}" % (_HEAD, hashlib.sha256(body).hexdigest().encode(), _PAYLOAD_KEY, body)
+    return b"%s%s%s%s}" % (_HEAD, _checksum(body), _PAYLOAD_KEY, body)
 
 
 @contextlib.contextmanager
@@ -328,14 +342,19 @@ def store(path: Path, q: Quiver) -> None:
 
 def _refusal(data: bytes) -> str:
     """Why a file that is not in the stored layout is refused: the version
-    it names when it is a cache object, else what it is instead."""
-    try:
-        envelope = json.loads(data.decode("utf-8"))
-    except (ValueError, RecursionError) as exc:
-        return f"unreadable ({exc})"
-    if not isinstance(envelope, dict):
-        return "malformed (not a JSON object)"
-    version = envelope.get("artifact_version")
+    it names when it is a cache object, else what it is instead.  A file
+    that starts with its version is not decoded, however large it is."""
+    head = re.match(_VERSION_HEAD, data)
+    if head is not None:
+        version = int(head.group(1))
+    else:
+        try:
+            envelope = json.loads(data.decode("utf-8"))
+        except (ValueError, RecursionError) as exc:
+            return f"unreadable ({exc})"
+        if not isinstance(envelope, dict):
+            return "malformed (not a JSON object)"
+        version = envelope.get("artifact_version")
     if version != ARTIFACT_VERSION:
         return f"has version {version}"
     return "malformed (not in the stored layout)"
@@ -344,7 +363,7 @@ def _refusal(data: bytes) -> str:
 def load(path: Path, group: WeylGroup, warn: Callable[[str], None]) -> Quiver | None:
     """The quiver stored at `path`, or None on a miss; a file that cannot
     be used is reported through `warn` and counts as a miss.  The payload's
-    stored bytes are hashed as they are and parsed once."""
+    stored bytes are checksummed as they are and parsed once."""
     try:
         data = path.read_bytes()
     except FileNotFoundError:
@@ -357,7 +376,7 @@ def load(path: Path, group: WeylGroup, warn: Callable[[str], None]) -> Quiver | 
         warn(f"cache {path.name} {_refusal(data)}; recomputing")
         return None
     body = data[_PAYLOAD_START:-1]
-    if hashlib.sha256(body).hexdigest().encode() != data[len(_HEAD) : len(_HEAD) + 64]:
+    if _checksum(body) != data[len(_HEAD) : len(_HEAD) + 8]:
         warn(f"cache {path.name} failed its checksum; recomputing")
         return None
     with _collector_paused():

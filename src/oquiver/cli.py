@@ -7,13 +7,19 @@ errors (unknown type, malformed element, unwritable cache, invalid input
 module), 2 usage errors, 141 with nothing on stderr when the reader closes
 stdout early (as `head` does).  Output is deterministic byte for byte for
 fixed flags; `--seed` pins the randomized parts of `check`.
+
+`main` returns the exit code to in-process callers.  `run`, the entry
+point of the `oquiver` script and of `python -m oquiver.cli`, ends the
+process with it as soon as stdout and stderr are flushed.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
+from typing import NoReturn
 
 from . import cache as cache_mod
 from . import icmod as icmod_ops
@@ -212,84 +218,95 @@ def cmd_icmod_dual(args) -> int:
 
 # -- parser ----------------------------------------------------------------------
 
+COMMANDS = ("weyl", "cohomology", "ih", "hom", "kl", "quiver", "check", "icmod")
 
-def make_parser() -> argparse.ArgumentParser:
+
+def make_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The `oquiver` parser.  Given a subcommand's name, only that subcommand
+    is registered, under the metavar listing all of them, so every usage line
+    and error reads as it does with the full parser."""
     parser = argparse.ArgumentParser(
         prog="oquiver",
         description="Exact quiver-with-relations pipeline for the regular block of category O.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
 
-    p = sub.add_parser("weyl", help="list the Weyl group")
-    _add_type(p)
-    p.set_defaults(fn=cmd_weyl)
+    def add(name: str, summary: str) -> argparse.ArgumentParser | None:
+        return sub.add_parser(name, help=summary) if command in (None, name) else None
 
-    p = sub.add_parser("cohomology", help="the Schubert-basis cohomology ring")
-    _add_type(p)
-    p.add_argument("--table", action="store_true", help="print the generator multiplication table")
-    p.set_defaults(fn=cmd_cohomology)
+    if p := add("weyl", "list the Weyl group"):
+        _add_type(p)
+        p.set_defaults(fn=cmd_weyl)
 
-    p = sub.add_parser("ih", help="graded dimensions (or full dump) of one module")
-    _add_type(p)
-    _add_cache_flags(p)
-    p.add_argument("--element", required=True, help='element like "1.2.1" or "e"')
-    p.add_argument("--dump", action="store_true", help="dump degrees and the action matrix of every class as JSON")
-    p.set_defaults(fn=cmd_ih)
+    if p := add("cohomology", "the Schubert-basis cohomology ring"):
+        _add_type(p)
+        p.add_argument("--table", action="store_true", help="print the generator multiplication table")
+        p.set_defaults(fn=cmd_cohomology)
 
-    p = sub.add_parser("hom", help="basis of a graded Hom space")
-    _add_type(p)
-    _add_cache_flags(p)
-    p.add_argument("--from", dest="source", required=True)
-    p.add_argument("--to", dest="target", required=True)
-    p.add_argument("--degree", type=int, default=1)
-    p.set_defaults(fn=cmd_hom)
+    if p := add("ih", "graded dimensions (or full dump) of one module"):
+        _add_type(p)
+        _add_cache_flags(p)
+        p.add_argument("--element", required=True, help='element like "1.2.1" or "e"')
+        p.add_argument("--dump", action="store_true", help="dump degrees and the action matrix of every class as JSON")
+        p.set_defaults(fn=cmd_ih)
 
-    p = sub.add_parser("kl", help="Kazhdan-Lusztig polynomial and mu")
-    _add_type(p)
-    p.add_argument("--from", dest="source", required=True)
-    p.add_argument("--to", dest="target", required=True)
-    p.set_defaults(fn=cmd_kl)
+    if p := add("hom", "basis of a graded Hom space"):
+        _add_type(p)
+        _add_cache_flags(p)
+        p.add_argument("--from", dest="source", required=True)
+        p.add_argument("--to", dest="target", required=True)
+        p.add_argument("--degree", type=int, default=1)
+        p.set_defaults(fn=cmd_hom)
 
-    p = sub.add_parser("quiver", help="the quiver with relations")
-    _add_type(p)
-    _add_cache_flags(p)
-    p.add_argument("--format", choices=("json", "dot", "text"), default="text")
-    p.add_argument("--appendix-numbering", action="store_true", help="classical A2 vertex numbering (longest element = 1)")
-    p.add_argument("--out", type=Path, default=None)
-    p.set_defaults(fn=cmd_quiver)
+    if p := add("kl", "Kazhdan-Lusztig polynomial and mu"):
+        _add_type(p)
+        p.add_argument("--from", dest="source", required=True)
+        p.add_argument("--to", dest="target", required=True)
+        p.set_defaults(fn=cmd_kl)
 
-    p = sub.add_parser("check", help="run the invariant battery")
-    _add_type(p)
-    _add_cache_flags(p)
-    p.add_argument("--suite", choices=SUITES, default="all")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(fn=cmd_check)
+    if p := add("quiver", "the quiver with relations"):
+        _add_type(p)
+        _add_cache_flags(p)
+        p.add_argument("--format", choices=("json", "dot", "text"), default="text")
+        p.add_argument("--appendix-numbering", action="store_true", help="classical A2 vertex numbering (longest element = 1)")
+        p.add_argument("--out", type=Path, default=None)
+        p.set_defaults(fn=cmd_quiver)
 
-    p = sub.add_parser("icmod", help="operations on IC-module documents")
-    icmod_sub = p.add_subparsers(dest="icmod_command", required=True)
+    if p := add("check", "run the invariant battery"):
+        _add_type(p)
+        _add_cache_flags(p)
+        p.add_argument("--suite", choices=SUITES, default="all")
+        p.add_argument("--seed", type=int, default=0)
+        p.set_defaults(fn=cmd_check)
 
-    pv = icmod_sub.add_parser("validate", help="chain complex axiom d^2 = 0")
-    pv.add_argument("file", metavar="FILE")
-    _add_cache_flags(pv)
-    pv.set_defaults(fn=cmd_icmod_validate)
+    if p := add("icmod", "operations on IC-module documents"):
+        icmod_sub = p.add_subparsers(dest="icmod_command", required=True)
 
-    pc = icmod_sub.add_parser("cohomology", help="graded dimensions of the total complex")
-    pc.add_argument("file", metavar="FILE")
-    _add_cache_flags(pc)
-    pc.set_defaults(fn=cmd_icmod_cohomology)
+        pv = icmod_sub.add_parser("validate", help="chain complex axiom d^2 = 0")
+        pv.add_argument("file", metavar="FILE")
+        _add_cache_flags(pv)
+        pv.set_defaults(fn=cmd_icmod_validate)
 
-    pd = icmod_sub.add_parser("dual", help="Verdier dual, written as a document")
-    pd.add_argument("file", metavar="FILE")
-    pd.add_argument("--out", type=Path, default=None)
-    _add_cache_flags(pd)
-    pd.set_defaults(fn=cmd_icmod_dual)
+        pc = icmod_sub.add_parser("cohomology", help="graded dimensions of the total complex")
+        pc.add_argument("file", metavar="FILE")
+        _add_cache_flags(pc)
+        pc.set_defaults(fn=cmd_icmod_cohomology)
+
+        pd = icmod_sub.add_parser("dual", help="Verdier dual, written as a document")
+        pd.add_argument("file", metavar="FILE")
+        pd.add_argument("--out", type=Path, default=None)
+        _add_cache_flags(pd)
+        pd.set_defaults(fn=cmd_icmod_dual)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    # a run names its subcommand first, so only that one's parser is built
+    args = make_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
     try:
         code = args.fn(args)
         sys.stdout.flush()
@@ -297,8 +314,6 @@ def main(argv: list[str] | None = None) -> int:
     except BrokenPipeError:
         # the reader closed stdout: not an error of this run, so no message;
         # /dev/null takes the descriptor so the flush at exit cannot raise again
-        import os
-
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
     except DOMAIN_ERRORS as exc:
@@ -307,5 +322,20 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
 
+def run() -> NoReturn:
+    """The `oquiver` script and `python -m oquiver.cli`: `main` on the
+    process's arguments, then, once stdout and stderr are flushed, the
+    process ends at once, without the interpreter tearing its modules down."""
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except BrokenPipeError:
+        code = 141  # the reader closed stdout, as `main` reports it
+    except OSError:
+        code = code or 1  # stdout still holds the write `main` reported failing
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

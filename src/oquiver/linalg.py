@@ -231,11 +231,13 @@ class RowSpan:
         return vec
 
     def _reduce(self, vec: Row, combo: Row | None):
-        for pivot in sorted(self._rows):
-            c = vec.get(pivot)
-            if not c:
-                continue
-            subtract_scaled(vec, c, self._rows[pivot])
+        # a stored row is zero at every other pivot, so subtracting it leaves
+        # the vector's other pivot entries as they were: only the pivots the
+        # vector holds at the start are ever subtracted, in ascending order
+        rows = self._rows
+        for pivot in sorted([j for j in vec if j in rows]):
+            c = vec[pivot]
+            subtract_scaled(vec, c, rows[pivot])
             if combo is not None:
                 subtract_scaled(combo, -c, self._combos[pivot])
         return vec, combo

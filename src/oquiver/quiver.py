@@ -101,24 +101,6 @@ class Quiver:
     def relator_dim(self) -> int:
         return sum(len(v) for v in self.relators().values())
 
-    def quadratic_dims(self) -> dict:
-        """Per ordered pair: (#length-2 paths, dim R, quotient dim), plus totals."""
-        per_pair = {}
-        totals = [0, 0, 0]
-        rel = self.relators()
-        g = self.group
-        for y in g.elements:
-            for w in g.elements:
-                pair = (y.idx, w.idx)
-                npaths = len(self.paths(*pair))
-                nrel = len(rel.get(pair, []))
-                if npaths or nrel:
-                    per_pair[pair] = (npaths, nrel, npaths - nrel)
-                    totals[0] += npaths
-                    totals[1] += nrel
-                    totals[2] += npaths - nrel
-        return {"pairs": per_pair, "totals": tuple(totals)}
-
     def all_pm_one(self) -> bool:
         """Whether the canonical relator basis has all coefficients in {0, +-1}.
 

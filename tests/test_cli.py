@@ -1,9 +1,11 @@
+import binascii
 import contextlib
 import functools
 import gc
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -13,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oquiver import cache, homspace, rootsystem, schubert
+from oquiver import cache, cli, homspace, rootsystem, schubert
 from oquiver.cli import main
 from oquiver.checks import sample_reps
 from oquiver.icmod import MAX_TOTAL_DIM, icmodule_from_doc, icmodule_to_doc, verdier_dual
@@ -35,6 +37,11 @@ def run_proc(*argv, env=None):
         env=env,
         cwd=str(Path(__file__).resolve().parent.parent),
     )
+
+
+def _child_env(**extra) -> dict:
+    """A child's environment: the checkout's `src/` and nothing of the user's."""
+    return {"PATH": "/usr/bin:/bin", "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src"), **extra}
 
 
 def test_weyl(capsys):
@@ -237,6 +244,70 @@ def test_usage_error_exits_2(capsys):
         assert info.value.code == 2, argv
 
 
+def _parse_outcome(parse, argv):
+    """Exit code, stdout and stderr of `parse(argv)`, which must exit."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), pytest.raises(SystemExit) as info:
+        parse(list(argv))
+    return info.value.code, out.getvalue(), err.getvalue()
+
+
+#: exit code and sha256 of stdout and stderr of `main(argv)` at 80 columns,
+#: taken on CPython 3.11 when every run built the parser of all subcommands
+PARSER_SHA256 = {
+    (): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+         "3eb173880d256f492f135f95a5f4ee0f747d1b1871a96df41a169c843df06661"),
+    ("-h",): (0, "b52f9ec843f13fcf28951b8f0689ec795286bb7ea755e644ac60d271c897ed55", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("quiver", "-h"): (0, "625eeb503f92150f7eef7be7e3ac92449e039d5dd192875937766e7698dd2e9a", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("icmod", "-h"): (0, "a698ecc0808ed5ffcea241212090b3204c84ef41d08d64741fb8b360e625ed6f", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("icmod", "dual", "-h"): (0, "079135b5eadd3bbc8b177f77016186c88db19c68d9a3d6c797db97f04c79ac0f", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("quiver",): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+                  "23bf66a4ecbfd491af8ee92846a74ce90f2687a1100a14507a1403e98414b1ea"),
+    ("quiver", "--type", "A2", "extra"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+                                         "d709ffa202bc523f263c9adf311c2aed9be61501ff174ac1497fbbeb09d9456b"),
+    ("quiver", "--type", "A2", "--format", "yaml"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+                                                    "9453835c5eb58447c24affb42890019957004c43be6f9eec4510f8bf9bb86443"),
+    ("frob",): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+                "d3597b5e3e95246df08d3ededfdede30d6dc394565db967280eed43910aff351"),
+    ("icmod",): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+                 "f202cb3acfbce60060eb8849961e6d9a0120bef99c661023f0f40cd1f9b7503c"),
+    ("check", "--type", "A2", "--suite", "nope"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+                                                  "222655836cc662642b4f8039dfdde61f794998687f439d765df6862efd4e1400"),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(PARSER_SHA256), ids=lambda argv: " ".join(argv) or "no-arguments")
+def test_help_and_usage_errors_are_pinned(argv, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = _parse_outcome(main, argv)
+    # the parser of the named subcommand alone writes what the parser of all does
+    assert (code, out, err) == _parse_outcome(cli.make_parser().parse_args, argv)
+    if sys.version_info[:2] == (3, 11):  # other versions word argparse's messages their own way
+        assert (code, hashlib.sha256(out.encode()).hexdigest(), hashlib.sha256(err.encode()).hexdigest()) == PARSER_SHA256[argv]
+
+
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_one_subcommand_parser_reads_as_the_full_parser(command, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    full, one = cli.make_parser(), cli.make_parser(command)
+    assert one.format_usage() == full.format_usage()
+    others = [other for other in cli.COMMANDS if other != command]
+    assert [f"    {other} " in one.format_help() for other in others] == [False] * len(others)
+    for argv in ([command, "-h"], [command], [command, "--bogus"], [command, "--type"]):
+        assert _parse_outcome(main, argv) == _parse_outcome(full.parse_args, argv)
+    valid = {
+        "weyl": ["--type", "A2"],
+        "cohomology": ["--type", "B2", "--table"],
+        "ih": ["--type", "A2", "--element", "1.2", "--dump", "--no-cache"],
+        "hom": ["--type", "A2", "--from", "e", "--to", "1", "--degree", "0", "--cache-dir", "c"],
+        "kl": ["--type", "B2", "--from", "e", "--to", "1.2"],
+        "quiver": ["--type", "A3", "--format", "json", "--appendix-numbering", "--out", "q.json"],
+        "check": ["--type", "A2", "--suite", "kl", "--seed", "3"],
+        "icmod": ["dual", "m.json", "--out", "d.json", "--no-cache"],
+    }[command]
+    assert vars(one.parse_args([command, *valid])) == vars(full.parse_args([command, *valid]))
+
+
 @pytest.mark.parametrize("name", ["A1", "B2"])
 def test_appendix_numbering_outside_a2_is_domain_error(name, tmp_path, capsys):
     # rejected before the pipeline is built: no traceback, no cache file
@@ -361,24 +432,32 @@ def test_cold_warm_and_corrupt_cache(tmp_path):
     assert nocache.stdout == cold.stdout
 
 
-#: sha256 of the cold `quiver --format json` stdout and of the cache file
-#: it writes; a cache written by one version must reproduce a cold run of the next.
-#: The file is the artifact-v7 header, the compact payload with integral
-#: entries as JSON numbers, and "}"
+#: sha256 of the cold `quiver --format json` stdout, of the cache file it
+#: writes and of that file's payload, the bytes between the header and the
+#: final "}"; a cache written by one version must reproduce a cold run of the
+#: next.  The file is the artifact-v8 header, the compact payload with
+#: integral entries as JSON numbers, and "}".  The payload digests were taken
+#: at artifact v7, whose payloads v8 stores unchanged behind a shorter header
 PINNED_SHA256 = {
     "A1": ("2c36909f11c58de5f4a6c8d8427ab18fb56368aa03e3f3a8514bd578154d2a97",
-           "483c4f3afbc39bd01e42c9d8b4013b1c3ceea0baa5d6139f39160bf3442bc0ed"),
+           "6a09fe9692a74514306d2752b2bbffcbc4c10d13c05e02df1c8deae9c1d1db7e",
+           "ed96fc232149c53b58579377746b49873f56d2062d2151beef9fc7d59b4c427d"),
     "A2": ("9eaeb144c01d7bd252f7e2f57a4bf3a91bdc36ebf4f1a7bbb417e7e9d875c962",
-           "5f15489ba8ea0aceb41891198c20a2507db94ec845ad6f8fa67f962617b1c402"),
+           "a07e2eec6aa24d1be55d38f5351a7388b70c110d2330a714ed70945977c73f26",
+           "eebfe2feaa5a9e0c330a89ca900c570399e4a9957e722e3e26ff4be856698667"),
     "B2": ("d067556ecac1c594d857b19d47d0dcacc45de2ea05a705205eacec96a15348b6",
-           "2d994a07b5840031db9d6f9ddf4a924c58e49d2d6d5e802f4fade2bdae6a58e0"),
+           "7ede5e6ba38cd4a24e706d8f09272d19cdeebb57d1a1b78fbb1b4640236aed03",
+           "12f89c9c03024459b470d10bb02145b8f5e3572a15b547f8a8776285e55a3878"),
     "G2": ("4426d788588bfd1c918146263dc2cd2d7698e924f08d3afdf1afb22d507c581e",
-           "1c50a14e9293116ba247b99baef02cfeb9e66d31af48693f9198398ddabbd76b"),
+           "3ac735dbc0c853982548ca506a348a42f3c01213d4ecfd7a37740b9b7eba6807",
+           "313c3d79668ec5c2e9cf4499502b0bdf1929ded3a872f64b7694937301199a78"),
     "A3": ("1328de2b71e7bd7433816575dfe808687f1385c11e14bc2ab6e19268d6aea454",
-           "4883c3e41351a9f7be5e3688d4af141dc369eec058298f2a1be7a3ee1a286f62"),
+           "2c1e40fdfd7f988e4a11e69469357d2cd6907e6ce448ed932968550d09e1e801",
+           "948495e5081274801c776e6ee01c9c81ec4bbf333966c7381c72fc9959466417"),
     # the only pinned type whose generator matrices have denominators
     "B3": ("34865411effc66570c59995870ac26122dea59e06444e46cab579c6e67b14f07",
-           "1385eacf7130ad8be873329a6b689ac6838ee6e18b4518655bbae4fd82c71736"),
+           "10c0b8a043db1b3cdc0ea89a610cffc44626d7c83c95ac96289152dcfae9ae27",
+           "83a19f154a28494737e4434b554bad582fc915be8416883feb02dac30dd0146c"),
 }
 
 
@@ -386,8 +465,11 @@ PINNED_SHA256 = {
 def test_cold_json_and_cache_file_bytes_are_pinned(name, tmp_path, capsys):
     code, out, _ = run_cli("quiver", "--type", name, "--format", "json", "--cache-dir", str(tmp_path), capsys=capsys)
     assert code == 0
-    digests = (hashlib.sha256(out.encode()).hexdigest(),
-               hashlib.sha256(cache.cache_file(tmp_path, name).read_bytes()).hexdigest())
+    data = cache.cache_file(tmp_path, name).read_bytes()
+    header = b'{"artifact_version":8,"checksum":"%08x","payload":'
+    payload = data[len(header % 0) : -1]
+    assert data == header % binascii.crc32(payload) + payload + b"}"
+    digests = tuple(hashlib.sha256(b).hexdigest() for b in (out.encode(), data, payload))
     assert digests == PINNED_SHA256[name]
 
 
@@ -583,6 +665,49 @@ def test_cache_file_in_another_layout_is_one_warning_line(tmp_path, capsys):
         assert path.read_bytes() == original
 
 
+def test_every_bit_flip_and_truncation_of_a_cache_file_is_refused(tmp_path, capsys):
+    args = ("quiver", "--type", "A2", "--format", "json", "--cache-dir", str(tmp_path))
+    code, cold, _ = run_cli(*args, capsys=capsys)
+    assert code == 0
+    path = cache.cache_file(tmp_path, "A2")
+    original = path.read_bytes()
+    group = rootsystem.generate_weyl(rootsystem.build("A2"))
+    damaged = [original[:n] + bytes([original[n] ^ 0x01]) + original[n + 1 :] for n in range(len(original))]
+    damaged += [original[:n] for n in range(len(original))]
+    for k, blob in enumerate(damaged):
+        path.write_bytes(blob)
+        warnings = []
+        assert cache.load(path, group, warnings.append) is None, k
+        assert len(warnings) == 1 and warnings[0].startswith(f"cache {path.name} "), k
+        assert warnings[0].endswith("; recomputing") and "\n" not in warnings[0], k
+        if k % 61 == 0:  # a sample through the CLI, which recomputes and stores
+            path.write_bytes(blob)
+            assert run_cli(*args, capsys=capsys) == (0, cold, f"warning: {warnings[0]}\n"), k
+            assert path.read_bytes() == original
+
+
+@pytest.mark.parametrize("head", [b'{"artifact_version":7,"checksum":"', b'{"artifact_version": 7, "checksum": "'],
+                         ids=["compact", "spaced"])
+@pytest.mark.parametrize("tail", [b"\xff not JSON", None], ids=["garbage", "v7-payload"])
+def test_stale_cache_file_is_named_by_its_first_bytes(head, tail, tmp_path, monkeypatch, capsys):
+    args = ("quiver", "--type", "A2", "--format", "json", "--cache-dir", str(tmp_path))
+    code, cold, _ = run_cli(*args, capsys=capsys)
+    assert code == 0
+    path = cache.cache_file(tmp_path, "A2")
+    original = path.read_bytes()
+    if tail is None:  # the version-7 file: a 64-digit checksum before the same payload
+        tail = b"0" * 64 + original[original.index(b'","payload":') :]
+    path.write_bytes(head + tail)
+    group = rootsystem.generate_weyl(rootsystem.build("A2"))
+    warnings = []
+    with monkeypatch.context() as m:
+        m.setattr(cache.json, "loads", pytest.fail)  # the version is read, nothing decoded
+        assert cache.load(path, group, warnings.append) is None
+    assert warnings == [f"cache {path.name} has version 7; recomputing"]
+    assert run_cli(*args, capsys=capsys) == (0, cold, f"warning: {warnings[0]}\n")
+    assert path.read_bytes() == original
+
+
 @pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
 @pytest.mark.parametrize("refused", [False, True], ids=["hit", "refused"])
 def test_load_leaves_the_collector_as_it_found_it(enabled, refused, tmp_path):
@@ -655,6 +780,51 @@ def test_closed_stdout_exits_141_without_a_message():
         proc.stderr.close()
         assert proc.wait() == 141
         assert err == b""
+
+
+def test_run_exits_with_the_code_of_main_once_the_output_is_written(tmp_path):
+    env = _child_env(OQUIVER_CACHE=str(tmp_path / "cache"))
+    args = ("quiver", "--type", "B3", "--format", "json")
+    want = PINNED_SHA256["B3"][0]
+    # cold, into a file
+    with open(tmp_path / "b3.json", "wb") as out:
+        cold = subprocess.run([sys.executable, "-m", "oquiver.cli", *args], stdout=out, stderr=subprocess.PIPE, env=env)
+    assert (cold.returncode, cold.stderr) == (0, b"")
+    assert hashlib.sha256((tmp_path / "b3.json").read_bytes()).hexdigest() == want
+    # warm, into a pipe
+    warm = run_proc(*args, env=env)
+    assert (warm.returncode, warm.stderr) == (0, b"")
+    assert hashlib.sha256(warm.stdout).hexdigest() == want
+    bad = run_proc("quiver", "--type", "Z9", env=env)
+    assert (bad.returncode, bad.stdout) == (1, b"")
+    assert bad.stderr.startswith(b"error: ") and bad.stderr.count(b"\n") == 1
+    usage = run_proc("quiver", "--type", "A2", "--format", "yaml", env=env)
+    assert (usage.returncode, usage.stdout) == (2, b"")
+    assert b"invalid choice: 'yaml'" in usage.stderr
+
+
+def test_run_skips_the_interpreter_finalization():
+    # an atexit hook runs when the interpreter finalizes, which `run` skips,
+    # so it must not print; `main` returns in-process as before
+    code = (
+        "import atexit, sys; atexit.register(print, 'finalized', file=sys.stderr); "
+        "from oquiver import cli; assert cli.main(['weyl', '--type', 'A1']) == 0; "
+        "sys.argv = ['oquiver', 'weyl', '--type', 'A2']; cli.run()"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=_child_env())
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout.startswith(b"W(A1): 2 elements") and b"W(A2): 6 elements" in proc.stdout
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_stdout_that_cannot_be_written_is_one_error_line():
+    # the flush in `main` fails and is reported; the data it could not write
+    # is still buffered when `run` flushes, which must not report it again
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run([sys.executable, "-m", "oquiver.cli", "weyl", "--type", "B3"],
+                              stdout=full, stderr=subprocess.PIPE, env=_child_env())
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(b"error: ") and proc.stderr.count(b"\n") == 1
 
 
 def test_missing_input_and_unwritable_out_are_domain_errors(tmp_path, capsys):
@@ -984,12 +1154,12 @@ def test_indented_json_writes_real_documents_as_json_dumps(a3_documents):
 
 
 def test_cli_import_loads_no_dataclasses_or_inspect():
-    # compared before and after, so what the interpreter's own start-up loads does not count
+    # compared before and after, so what the interpreter's own start-up loads
+    # does not count; the cache checksum is a CRC-32, so no OpenSSL load either
     code = (
         "import sys; before = set(sys.modules); import oquiver.cli; "
-        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
+        "print(sorted({'dataclasses', 'inspect', 'hashlib', '_hashlib'} & (set(sys.modules) - before)))"
     )
-    env = {"PATH": "/usr/bin:/bin", "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env, text=True)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=_child_env(), text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"

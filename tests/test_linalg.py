@@ -17,6 +17,7 @@ from oquiver.linalg import (
     nullspace_of_rows,
     parse_rational,
     rank,
+    subtract_scaled,
 )
 
 F = Fraction
@@ -324,3 +325,52 @@ def test_span_results_agree_for_int_and_fraction_inputs(case):
     for inserted, coefficients, basis, canonical, kernel, (_, combo) in results:
         for row in [*filter(None, inserted), coefficients or {}, *basis, *canonical, *kernel, combo or {}]:
             assert all(_obeys_number_rule(v) for v in row.values())
+
+
+class _EveryPivotSpan(RowSpan):
+    """The reference `_reduce`: a pass over every stored pivot, ascending,
+    skipping the ones the vector does not hold."""
+
+    def _reduce(self, vec, combo):
+        for pivot in sorted(self._rows):
+            c = vec.get(pivot)
+            if not c:
+                continue
+            subtract_scaled(vec, c, self._rows[pivot])
+            if combo is not None:
+                subtract_scaled(combo, -c, self._combos[pivot])
+        return vec, combo
+
+
+def _items(row):
+    """A Row's entries in key order, which equality of dicts ignores."""
+    return None if row is None else list(row.items())
+
+
+_mixed_entries = st.integers(-3, 3) | st.fractions(min_value=-3, max_value=3, max_denominator=4)
+reduce_cases = st.integers(1, 8).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.dictionaries(st.integers(0, n - 1), _mixed_entries, max_size=n), max_size=10),
+        st.lists(st.dictionaries(st.integers(0, n - 1), _mixed_entries, max_size=n), max_size=4),
+    )
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(reduce_cases)
+def test_reduce_against_held_pivots_matches_every_pivot(case):
+    # the stored rows are in RREF, so subtracting one leaves the vector's
+    # other pivot entries alone: the same subtractions run in the same order,
+    # and every value and every key order comes out the same
+    ncols, vectors, probes = case
+    results = []
+    for span in (RowSpan(ncols, track=True), _EveryPivotSpan(ncols, track=True)):
+        inserted = [_items(span.insert(v)) for v in vectors]
+        results.append((
+            inserted,
+            [(p, _items(row), _items(span._combos[p])) for p, row in span._rows.items()],
+            [_items(row) for row in span.basis_rows()],
+            [(_items(span.residual(v)), _items(span.coefficients(v))) for v in probes],
+        ))
+    assert results[0] == results[1]
